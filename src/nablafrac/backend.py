@@ -37,8 +37,6 @@ def is_exact(x) -> bool:
 
 
 def is_integral(x) -> bool:
-    if isinstance(x, float):
-        return x == math.floor(x)
     return x == math.floor(x)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .backend import format_scalar, is_exact
 from .grid import GridFn, inner_sum, shift_rho, shift_sigma
-from .numerics import FracOrder, weights
+from .numerics import FracOrder, _order, _order_value, weights
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
                         nabla_left_sum_fn, nabla_right_riemann,
                         nabla_right_sum_fn, delta_left_sum, delta_right_sum,
@@ -252,14 +252,6 @@ def run_trial(identity_id: str, alpha, a, b, seed: int, exact: bool,
     g = random_gridfn(rng, a, b, exact, make)
     fn, unit = _CHECKS[identity_id]
     return [fn(f, g, alpha, a, b, seed)]
-
-
-def _order(alpha) -> FracOrder:
-    return alpha if isinstance(alpha, FracOrder) else FracOrder(alpha)
-
-
-def _order_value(alpha):
-    return alpha.alpha if isinstance(alpha, FracOrder) else alpha
 
 
 def _require_unit_interval(alpha: FracOrder, what: str) -> None:

@@ -46,6 +46,10 @@ class FracOrder:
                               f"got {self.alpha}")
 
 
+def _order(alpha) -> FracOrder:
+    return alpha if isinstance(alpha, FracOrder) else FracOrder(alpha)
+
+
 def _order_value(alpha):
     return alpha.alpha if isinstance(alpha, FracOrder) else alpha
 
@@ -89,6 +93,10 @@ def falling_factorial(t, alpha):
         raise DomainError(f"Gamma pole in {t}^(falling {a})") from exc
 
 
+# Weight lists of the most recently used orders, oldest first.  One verify
+# lattice block uses 7 distinct orders and a solve a few; a float run that
+# draws a fresh order per request would otherwise keep every list it built.
+_WEIGHT_CACHE_ORDERS = 8
 _weight_cache: dict = {}
 
 
@@ -104,10 +112,12 @@ def weights(beta, K: int):
     if isinstance(beta, int):
         beta = rational(beta)  # keep the recurrence division exact
     key = (isinstance(beta, float), beta)
-    w = _weight_cache.get(key)
+    w = _weight_cache.pop(key, None)
     if w is None:
         w = [beta * 0 + 1]
-        _weight_cache[key] = w
+        if len(_weight_cache) >= _WEIGHT_CACHE_ORDERS:
+            del _weight_cache[next(iter(_weight_cache))]
+    _weight_cache[key] = w
     while len(w) <= K:
         k = len(w)
         w.append(w[k - 1] * (k + beta - 1) / k)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablafrac import numerics
 from nablafrac.backend import rational
 from nablafrac.grid import DomainError, GridFn
 from nablafrac.numerics import (FracOrder, falling_factorial, minus_delta_n,
@@ -112,6 +113,17 @@ class TestWeights:
     def test_bad_count(self):
         with pytest.raises(DomainError):
             weights(0.5, -1)
+
+    def test_cache_keeps_recent_orders_only(self):
+        first_float = weights(0.123456789, 40)
+        first_exact = weights(rat("2/7"), 12)
+        for j in range(1000):
+            weights(1 + j / 1000.5, 3)
+        assert len(numerics._weight_cache) <= 8
+        assert (True, 0.123456789) not in numerics._weight_cache
+        assert (False, rat("2/7")) not in numerics._weight_cache
+        assert weights(0.123456789, 40) == first_float
+        assert weights(rat("2/7"), 12) == first_exact
 
 
 class TestNablaRisingPower:

@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablafrac import operators
 from nablafrac.backend import rational
 from nablafrac.grid import DomainError, GridFn
+from nablafrac.identities import FLOAT_TOLERANCE
 from nablafrac.numerics import FracOrder, weights
 from nablafrac.operators import (caputo_left, caputo_right,
                                  delta_left_riemann, delta_left_sum,
@@ -212,3 +215,83 @@ class TestOperatorMatrix:
             want = direct(out_lo + i)
             got = sum(c * v for c, v in zip(row, f.values))
             assert got == want
+
+
+LONG_ORDERS = (0.02, 0.5, 0.98, 1.5, 1.98, 1.999, -0.5, -1.98)
+
+
+def assert_float_policy(got, want):
+    """Finite rows within the float policy, the others equal (nan to nan)."""
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    got, want = got[finite], want[finite]
+    scale = 1 + np.maximum(np.abs(got), np.abs(want))
+    assert np.all(np.abs(got - want) <= FLOAT_TOLERANCE * scale)
+
+
+def long_input(kind, n):
+    """n + 2 float values; the non-finite one sits inside an FFT block."""
+    rng = np.random.default_rng(n)
+    if kind == "exp":  # grows by e^50, so earlier rows are far smaller
+        return np.exp(50 * np.arange(n + 2) / n)
+    x = rng.uniform(-1 if kind == "signed" else 0, 1, n + 2)
+    if kind in ("inf", "nan"):
+        x[n - 1 - (n - 512) // 3] = float(kind)
+    return x
+
+
+class TestLongHorizonFloat:
+    """Float convolutions past the FFT crossover (512 points) against
+    direct sums."""
+
+    def test_short_inputs_bit_identical_to_np_convolve(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 100, 512):
+            x = rng.uniform(-1, 1, n)
+            w = weights(1.5, n - 1)
+            assert operators._left_conv(tuple(x), w) == \
+                tuple(np.convolve(x, w)[:n])
+
+    # non-finite inputs stay on np.convolve, so 4097 points show enough
+    @pytest.mark.parametrize("n,kind", [
+        (n, kind) for n in (513, 1024, 4097, 20000)
+        for kind in ("unit", "signed", "exp", "inf", "nan")
+        if n < 20000 or kind not in ("inf", "nan")])
+    def test_every_row_matches_np_convolve(self, n, kind):
+        x = long_input(kind, n)
+        for beta in LONG_ORDERS:
+            w = weights(beta, n - 1)
+            direct = np.convolve(x[:n], w)[:n]
+            assert_float_policy(operators._left_conv(tuple(x[:n]), w),
+                                direct)
+            assert_float_policy(operators._right_conv(tuple(x[n - 1::-1]), w),
+                                direct[::-1])
+            if beta < 0 or kind != "unit":
+                continue
+            # both operators convolve exactly n points with w_k(m - beta)
+            alpha = FracOrder(beta)
+            m = alpha.n
+            w = weights(m - beta, n - 1)
+            riemann = nabla_left_riemann(GridFn(1, tuple(x[:n])), alpha, 0)
+            inner = np.concatenate([np.zeros(m), np.convolve(x[:n], w)[:n]])
+            assert (riemann.lo, len(riemann)) == (1, n)
+            assert_float_policy(riemann.values, np.diff(inner, m))
+            caputo = caputo_left(GridFn(0, tuple(x[:n + m])), alpha, 0)
+            assert (caputo.lo, len(caputo)) == (m, n)
+            assert_float_policy(caputo.values,
+                                np.convolve(np.diff(x[:n + m], m), w)[:n])
+
+    def test_rows_at_1e5_match_dot_products(self):
+        n = 100_000
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0, 1, n)
+        rows = [*range(64), n - 1, *rng.integers(0, n, 200)]
+        for beta in LONG_ORDERS:
+            w = np.array(weights(beta, n - 1))
+            left = operators._left_conv(tuple(x), w)
+            right = operators._right_conv(tuple(x), w)
+            assert_float_policy([left[m] for m in rows],
+                                [np.dot(w[:m + 1], x[m::-1]) for m in rows])
+            assert_float_policy([right[i] for i in rows],
+                                [np.dot(w[:n - i], x[i:]) for i in rows])
