@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .backend import format_scalar, parse_scalar, rational
 from .grid import DomainError, Grid, GridFn, read_gridfn_csv, write_gridfn_csv
-from .identities import VERIFY_ALPHAS, VERIFY_SIZES, run_trial
+from .identities import VERIFY_ALPHAS, VERIFY_SIZES, _UNIT_INTERVAL, run_trial
 from .numerics import FracOrder
 from .operators import (caputo_left, caputo_right, delta_left_riemann,
                         delta_left_sum, delta_right_riemann, delta_right_sum,
@@ -47,7 +47,6 @@ _OPERATORS = {
 }
 
 _IDENTITY_ORDER = ("P21", "P22", "P23", "P24", "T25", "T26", "SHIFT")
-_UNIT_INTERVAL_ONLY = {"T25", "T26"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +137,7 @@ def _cmd_verify(args) -> int:
         for ident in _IDENTITY_ORDER:
             for alpha_text in VERIFY_ALPHAS:
                 alpha = FracOrder.parse(alpha_text, exact)
-                if ident in _UNIT_INTERVAL_ONLY and not alpha.alpha < 1:
+                if ident in _UNIT_INTERVAL and not alpha.alpha < 1:
                     continue
                 for n in VERIFY_SIZES:
                     b = a + n

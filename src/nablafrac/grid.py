@@ -3,7 +3,9 @@
 Points live on an arithmetic progression with step 1 whose anchor may be any
 real (any rational in exact mode), so functions on shifted grids such as
 a + alpha + Z are first-class.  Out-of-domain evaluation raises DomainError;
-nothing is ever silently read as zero.
+nothing is ever silently read as zero.  Two points are only ever compared
+through _offset, their integer distance (float distances snap within 1e-9),
+so a float anchor such as 0.1 behaves exactly like 0.
 """
 from __future__ import annotations
 

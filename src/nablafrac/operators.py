@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainError, GridFn
+from .grid import DomainError, GridFn, _offset
 from .numerics import _order, minus_delta_n, nabla_n, weights
 
 __all__ = [
@@ -113,7 +113,7 @@ def _right_conv(values, w):
 def nabla_left_sum_fn(f: GridFn, beta, a) -> GridFn:
     """t -> (nabla_a^{-beta} f)(t) on [a, f.hi], with value 0 at a."""
     beta = _order(beta).alpha
-    if f.lo > a + 1:
+    if _offset(f.lo, a) > 1:
         raise DomainError(f"left sum anchored at {a} needs f from {a + 1}, "
                           f"f starts at {f.lo}")
     body = f.restrict(a + 1, f.hi)
@@ -131,34 +131,34 @@ def nabla_right_sum_fn(f: GridFn, beta, b, truncate: bool = False) -> GridFn:
     Riemann-Caputo by-parts chain and the variational assembly).
     """
     beta = _order(beta).alpha
-    if f.hi < b - 1 and not truncate:
+    nb = _offset(b, f.lo)
+    if nb > len(f) and not truncate:
         raise DomainError(f"right sum anchored at {b} needs f up to {b - 1}, "
                           f"f ends at {f.hi}")
-    top = min(b - 1, f.hi)
-    if top < f.lo:
+    if nb < 1:
         raise DomainError(f"right sum anchored at {b} starts past f's domain")
-    body = f.restrict(f.lo, top)
-    w = weights(beta, len(body) - 1)
-    vals = _right_conv(body.values, w)
+    m = min(nb, len(f))       # b is point nb of f; the sum reads f[:m]
+    vals = _right_conv(f.values[:m], weights(beta, m - 1))
     zero = vals[0] * 0
-    tail = tuple(zero for _ in range(int(b - top)))
-    return GridFn(f.lo, vals + tail)
+    return GridFn(f.lo, vals + (zero,) * (nb - m + 1))
 
 
 def nabla_left_sum(f: GridFn, alpha, a, t):
     """(nabla_a^{-alpha} f)(t) = sum_{k} w_k(alpha) f(t - k); 0 at t = a."""
-    if t < a:
+    k = _offset(t, a)
+    if k < 0:
         raise DomainError(f"left sum undefined at {t} < anchor {a}")
-    if t == a:
+    if k == 0:
         return f.values[0] * 0
     return nabla_left_sum_fn(f.restrict(a + 1, t), alpha, a)(t)
 
 
 def nabla_right_sum(f: GridFn, alpha, b, t):
     """(_b nabla^{-alpha} f)(t) = sum_{s=t}^{b-1} w_{s-t}(alpha) f(s); 0 at t = b."""
-    if t > b:
+    k = _offset(b, t)
+    if k < 0:
         raise DomainError(f"right sum undefined at {t} > anchor {b}")
-    if t == b:
+    if k == 0:
         return f.values[0] * 0
     return nabla_right_sum_fn(f.restrict(t, b - 1), alpha, b)(t)
 
@@ -192,7 +192,7 @@ def caputo_left(f: GridFn, alpha, a) -> GridFn:
     alpha = _order(alpha)
     alpha.require_noninteger("left Caputo difference")
     n = alpha.n
-    if f.lo > a:
+    if _offset(f.lo, a) > 0:
         raise DomainError(f"left Caputo from {a} needs f({a}); f starts at {f.lo}")
     d = nabla_n(f.restrict(a, f.hi), n)
     out = nabla_left_sum_fn(d, n - alpha.alpha, a + n - 1)
@@ -209,7 +209,7 @@ def caputo_right(f: GridFn, alpha, b, truncate: bool = False) -> GridFn:
     alpha = _order(alpha)
     alpha.require_noninteger("right Caputo difference")
     n = alpha.n
-    if f.hi < b and not truncate:
+    if _offset(b, f.hi) > 0 and not truncate:
         raise DomainError(f"right Caputo ending at {b} needs f({b}); "
                           f"f ends at {f.hi}")
     d = minus_delta_n(f, n)
@@ -223,7 +223,7 @@ def delta_left_sum(f: GridFn, alpha, a) -> GridFn:
     """s+alpha -> (Delta_{a+1}^{-alpha} f)(s+alpha), anchored at a+1+alpha:
     (Delta_c^{-alpha} f)(c+alpha+m) = sum_{k<=m} w_k(alpha) f(c+m-k), c = a+1."""
     av = _order(alpha).alpha
-    if f.lo > a + 1:
+    if _offset(f.lo, a) > 1:
         raise DomainError(f"delta left sum needs f from {a + 1}, starts {f.lo}")
     body = f.restrict(a + 1, f.hi)
     w = weights(av, len(body) - 1)
@@ -234,7 +234,7 @@ def delta_right_sum(g: GridFn, alpha, b) -> GridFn:
     """s-alpha -> (_{b-1}Delta^{-alpha} g)(s-alpha), equal to
     (_b nabla^{-alpha} g)(s) under the dual shift."""
     av = _order(alpha).alpha
-    if g.hi < b - 1:
+    if _offset(b, g.hi) > 1:
         raise DomainError(f"delta right sum needs g up to {b - 1}, ends {g.hi}")
     body = g.restrict(g.lo, b - 1)
     w = weights(av, len(body) - 1)
@@ -276,7 +276,7 @@ def operator_matrix(op, in_lo, in_hi, one, zero):
     """Matrix of a linear GridFn operator, built column by column from basis
     functions on [in_lo, in_hi].  Returns (out_lo, rows) where rows[i][j] is
     the coefficient of input point in_lo + j in output point out_lo + i."""
-    m = int(in_hi - in_lo) + 1
+    m = _offset(in_hi, in_lo) + 1
     cols = []
     out_lo = out_len = None
     for j in range(m):

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import DomainError, Grid, GridFn, shift_sigma
+from .grid import DomainError, Grid, GridFn, _offset, shift_sigma
 from .numerics import FracOrder, weights
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
                         nabla_right_riemann, nabla_right_sum_fn,
@@ -149,13 +149,20 @@ class VariationalProblem:
             return a + 1, b - 1
         return a, b - 1
 
+    def _free(self) -> range:
+        """Indices of the free coordinates in the f_domain() vector."""
+        N = self.grid.N
+        if self.formulation is Formulation.RIEMANN_B:
+            return range(N - 1)
+        if self.formulation is Formulation.RIEMANN_A:
+            return range(1, N)                 # f(a) fixed
+        if self.boundary.kind == "fixed":
+            return range(1, N - 1)             # f(a), f(b-1) fixed
+        return range(N)
+
     def free_points(self):
-        a, b = self.grid.a, self.grid.b
-        if self.formulation is Formulation.CAPUTO:
-            if self.boundary.kind == "fixed":
-                return [a + k for k in range(1, self.grid.N - 1)]
-            return [a + k for k in range(self.grid.N)]
-        return [a + k for k in range(1, self.grid.N)]
+        lo = self.f_domain()[0]
+        return [lo + k for k in self._free()]
 
 
 def _sum_points(p: VariationalProblem):
@@ -224,7 +231,7 @@ def eta_shift_decomposition(eta: GridFn, alpha, a, t):
     """
     alpha = alpha if isinstance(alpha, FracOrder) else FracOrder(alpha)
     alpha.require_noninteger("eta-shift decomposition")
-    k = int(t - a)
+    k = _offset(t, a)
     if k < 1:
         raise DomainError("decomposition needs t in N_{a+1}")
     base = nabla_left_riemann(eta.restrict(a + 1, eta.hi), alpha, a)(t)
@@ -232,17 +239,21 @@ def eta_shift_decomposition(eta: GridFn, alpha, a, t):
     return base, correction
 
 
-def _el_riemann_b(p: VariationalProblem, f: GridFn, l2_at_b=None) -> GridFn:
-    """E2 residual with the v-partial extended to t = b.
+def _l1_l2_to_b(p: VariationalProblem, f: GridFn, l2_at_b):
+    """L_1 on [a+1, b-1] and the v-partial extended to [a+1, b].
 
     The extension value is the natural condition L_2(b) = 0 unless an
     explicit value (the constraint multiplier) is supplied.
     """
-    a, b = p.grid.a, p.grid.b
     l1, l2 = _l1_l2(p, f)
     ext = l2.values[0] * 0 if l2_at_b is None else l2_at_b
-    l2x = GridFn(l2.lo, l2.values + (ext,))        # on [a+1, b]
-    cr = caputo_right(l2x, p.alpha, b + 1, truncate=True)
+    return l1, GridFn(l2.lo, l2.values + (ext,))
+
+
+def _el_riemann_b(p: VariationalProblem, f: GridFn, l2_at_b=None) -> GridFn:
+    """E2 residual with the v-partial extended to t = b."""
+    l1, l2x = _l1_l2_to_b(p, f, l2_at_b)
+    cr = caputo_right(l2x, p.alpha, p.grid.b + 1, truncate=True)
     return GridFn(l1.lo, tuple(l1(t) + cr(t) for t in _sum_points(p)))
 
 
@@ -256,11 +267,8 @@ def el_residual_forms(p: VariationalProblem, f: GridFn, l2_at_b=None):
                           "formulation")
     lo, hi = p.f_domain()
     f = f.restrict(lo, hi)
-    a, b = p.grid.a, p.grid.b
-    l1, l2 = _l1_l2(p, f)
-    ext = l2.values[0] * 0 if l2_at_b is None else l2_at_b
-    l2x = GridFn(l2.lo, l2.values + (ext,))        # on [a+1, b]
-    cr = caputo_right(shift_sigma(l2x), p.alpha, b, truncate=True)
+    l1, l2x = _l1_l2_to_b(p, f, l2_at_b)
+    cr = caputo_right(shift_sigma(l2x), p.alpha, p.grid.b, truncate=True)
     shifted = GridFn(l1.lo, tuple(l1(s) + cr(s - 1) for s in _sum_points(p)))
     return shifted, _el_riemann_b(p, f, l2_at_b)
 
@@ -300,24 +308,24 @@ def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     """
     lo, hi = p.f_domain()
     f = f.restrict(lo, hi)
-    free = p.free_points()
+    free = p._free()
 
-    def bumped(u, step):
-        return GridFn(f.lo, tuple(
-            v + step if f.lo + k == u else v
-            for k, v in enumerate(f.values)))
+    def bumped(i, step):
+        vals = list(f.values)
+        vals[i] += step
+        return GridFn(lo, tuple(vals))
 
     out = []
-    for u in free:
+    for i in free:
         if p.exact:
             one = f.values[0] * 0 + 1
-            pm = [action(p, bumped(u, one * s)) for s in (-2, -1, 1, 2)]
+            pm = [action(p, bumped(i, one * s)) for s in (-2, -1, 1, 2)]
             out.append((pm[0] - 8 * pm[1] + 8 * pm[2] - pm[3]) / 12)
         else:
-            h = 1e-6 * (1 + abs(f(u)))
-            out.append((action(p, bumped(u, h)) - action(p, bumped(u, -h)))
+            h = 1e-6 * (1 + abs(f.values[i]))
+            out.append((action(p, bumped(i, h)) - action(p, bumped(i, -h)))
                        / (2 * h))
-    return GridFn(free[0], tuple(out))
+    return GridFn(lo + free[0], tuple(out))
 
 
 # -- Newton solver -----------------------------------------------------------
@@ -336,26 +344,28 @@ class Solution:
         return max(abs(v) for v in self.el_residual.values)
 
 
-def _terminal_sum_weights(p: VariationalProblem):
+def _terminal_sum_weights(p: VariationalProblem) -> np.ndarray:
     """Coefficients of f(a+1..b-1) in nabla_a^{-(1-alpha)} f(b-1)."""
-    w = weights(1 - p.alpha.alpha, p.grid.N - 2)
-    return [w[int(p.grid.b - 1 - s)] for s in p.free_points()]
+    return np.array(weights(1 - p.alpha.alpha, p.grid.N - 2)[::-1],
+                    dtype=float)
+
+
+def _f_vector(p: VariationalProblem, x) -> np.ndarray:
+    """Values on f_domain(): the fixed boundary values, then x on the free
+    coordinates."""
+    lo, hi = p.f_domain()
+    vals = np.zeros(_offset(hi, lo) + 1)
+    free = p._free()
+    if free.start == 1:
+        vals[0] = float(p.boundary.A)
+    if free.stop == len(vals) - 1:
+        vals[-1] = float(p.boundary.B)
+    vals[free] = x
+    return vals
 
 
 def _build_f(p: VariationalProblem, x: Sequence[float]) -> GridFn:
-    lo, hi = p.f_domain()
-    free = set(p.free_points())
-    vals, i = [], 0
-    for k in range(int(hi - lo) + 1):
-        t = lo + k
-        if t in free:
-            vals.append(float(x[i]))
-            i += 1
-        elif t == p.grid.a:
-            vals.append(float(p.boundary.A))
-        else:
-            vals.append(float(p.boundary.B))
-    return GridFn(lo, tuple(vals))
+    return GridFn(p.f_domain()[0], tuple(_f_vector(p, x).tolist()))
 
 
 def _natural_boundary_sums(p: VariationalProblem, f: GridFn):
@@ -376,26 +386,20 @@ def _residual_vector(p: VariationalProblem, x: np.ndarray) -> np.ndarray:
     constrained = form is Formulation.RIEMANN_B and bnd.kind == "fixed"
     lam = x[-1] if constrained else None
     f = _build_f(p, x[:-1] if constrained else x)
-    rows: list = []
     if form is Formulation.RIEMANN_B:
-        el = _el_riemann_b(p, f, lam)
-        rows.extend(el.values)
+        rows = list(_el_riemann_b(p, f, lam).values)
         if constrained:
             c = _terminal_sum_weights(p)
-            rows.append(sum(ci * f(s) for ci, s in zip(c, p.free_points()))
+            rows.append(sum(ci * v for ci, v in zip(c, f.values))
                         - float(bnd.A))
-    elif form is Formulation.RIEMANN_A:
-        rows.extend(el_residual(p, f).values)
     else:
-        rows.extend(el_residual(p, f).values)
-        if bnd.kind == "natural":
-            at_a, at_b1 = _natural_boundary_sums(p, f)
-            rows.extend((at_a, at_b1))
+        rows = list(el_residual(p, f).values)
+        if form is Formulation.CAPUTO and bnd.kind == "natural":
+            rows.extend(_natural_boundary_sums(p, f))
     return np.array(rows, dtype=float)
 
 
-def _jacobian(p: VariationalProblem, x: np.ndarray, r0: np.ndarray,
-              assembly) -> np.ndarray:
+def _jacobian(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
     """Jacobian by the chain rule through the constant operator matrices."""
     U, cu, V, cv, P, Q, extra = assembly
     form, bnd = p.formulation, p.boundary
@@ -421,19 +425,12 @@ def _assembly(p: VariationalProblem):
     condition rows."""
     a, b = p.grid.a, p.grid.b
     form, bnd = p.formulation, p.boundary
-    free = p.free_points()
+    free = p._free()
     lo, hi = p.f_domain()
-    m = len(free)
-    npts = int(hi - lo) + 1
     pts = _sum_points(p)
 
     # map full f-vector -> free part + constant part
-    free_idx = [int(t - lo) for t in free]
-    fixed = np.zeros(npts)
-    if form is not Formulation.RIEMANN_B and lo == a and a not in free:
-        fixed[0] = float(bnd.A)
-    if form is Formulation.CAPUTO and bnd.kind == "fixed":
-        fixed[-1] = float(bnd.B)
+    fixed = _f_vector(p, 0.0)
 
     def vmap(e_full: GridFn) -> np.ndarray:
         return np.array(_v_fn(p, e_full).values, dtype=float)
@@ -441,15 +438,13 @@ def _assembly(p: VariationalProblem):
     _, rows = operator_matrix(
         lambda e: GridFn(pts[0], tuple(vmap(e))), lo, hi, 1.0, 0.0)
     Mv = np.array(rows)
-    V = Mv[:, free_idx]
+    V = Mv[:, free]
     cv = Mv @ fixed
 
-    # u slot: identity (Riemann) or backward shift (Caputo)
-    Mu = np.zeros((len(pts), npts))
+    # u slot at t = a+1 .. b-1: f(t) (Riemann) or f(t-1) (Caputo)
     shift = 1 if form is Formulation.CAPUTO else 0
-    for i, t in enumerate(pts):
-        Mu[i, int(t - shift - lo)] = 1.0
-    U = Mu[:, free_idx]
+    Mu = np.eye(len(pts), len(fixed), 1 - shift - _offset(lo, a))
+    U = Mu[:, free]
     cu = Mu @ fixed
 
     # right operator acting on L_2 over [a+1, b-1]
@@ -465,18 +460,14 @@ def _assembly(p: VariationalProblem):
     Qfull = np.array(qrows)
 
     if form is Formulation.CAPUTO:
-        rows_pts = [a + k for k in range(1, p.grid.N - 1)]
-        Q = Qfull[[int(s - pts[0]) for s in rows_pts], :]
-        P = np.zeros((len(rows_pts), len(pts)))
-        for i, s in enumerate(rows_pts):
-            P[i, int(s + 1 - pts[0])] = 1.0
+        # rows s = a+1 .. b-2 pair L_1(s+1) with the operator at s
+        Q = Qfull[:-1]
+        P = np.eye(len(pts) - 1, len(pts), 1)
     else:
         Q = Qfull
         P = np.eye(len(pts))
 
-    wlam = np.array([weights(1 - p.alpha.alpha, p.grid.N - 2)
-                     [int(b - 1 - s)] for s in free], dtype=float) \
-        if form is Formulation.RIEMANN_B else None
+    wlam = _terminal_sum_weights(p) if form is Formulation.RIEMANN_B else None
 
     def extra(core, u, v, dl2):
         if form is Formulation.RIEMANN_B and bnd.kind == "fixed":
@@ -489,12 +480,9 @@ def _assembly(p: VariationalProblem):
             # slot has v = 0 and u = f(a)
             wnat = np.array(weights(1 - p.alpha.alpha, p.grid.N - 1),
                             dtype=float)
-            lag = p.lagrangian
-            duv_a = float(lag.d_uv(a, u[0], 0.0))
             dl2a = np.zeros(core.shape[1])
-            ia = free.index(a)
-            dl2a[ia] = duv_a
-            row_a = wnat[1:int(p.grid.N)] @ dl2 + wnat[0] * dl2a
+            dl2a[0] = float(p.lagrangian.d_uv(a, u[0], 0.0))  # f(a) is free
+            row_a = wnat[1:p.grid.N] @ dl2 + wnat[0] * dl2a
             row_b1 = dl2[-1, :]
             return np.vstack([core, row_a, row_b1])
         return core
@@ -526,7 +514,7 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     iterations = 0
     converged = bool(np.max(np.abs(r)) <= tol)
     while not converged and iterations < max_iter:
-        J = _jacobian(p, x, r, assembly)
+        J = _jacobian(p, x, assembly)
         try:
             dx = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -553,7 +541,7 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     grad = gradient_oracle(p, f)
     gvals = np.array(grad.values, dtype=float)
     if constrained:
-        gvals = gvals - lam * np.array(_terminal_sum_weights(p), dtype=float)
+        gvals = gvals - lam * _terminal_sum_weights(p)
     return Solution(f=f, el_residual=el,
                     gradient_norm=float(np.max(np.abs(gvals))),
                     iterations=iterations, converged=converged,

@@ -81,6 +81,21 @@ class TestApply:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 1
 
+    def test_float_anchor_matches_integer_anchor(self, tmp_path):
+        # the same values one step after anchor -0.9 and after anchor -1
+        vals = (0.1, -2.5, 1 / 3, 7.25, 0.0, 9.125)
+        out = {}
+        for lo, anchor in ((0.1, "-0.9"), (0.0, "-1")):
+            src, dst = tmp_path / f"in{lo}.csv", tmp_path / f"out{lo}.csv"
+            write_gridfn_csv(GridFn(lo, vals), src)
+            code = main(["apply", "nabla-left-sum", "--alpha", "1/2",
+                         "--a", anchor, "--input", str(src),
+                         "--output", str(dst)])
+            assert code == 0
+            out[lo] = read_gridfn_csv(dst, exact=False).values
+        assert len(out[0.1]) == len(vals)
+        assert out[0.1] == out[0.0]
+
     def test_missing_anchor_exit_2(self, tmp_path):
         src = tmp_path / "in.csv"
         write_ones(src)
@@ -107,6 +122,12 @@ class TestVerify:
         rep = tmp_path / "rep.jsonl"
         code = main(["verify", "--backend", "float", "--trials", "1",
                      "--output", str(rep)])
+        assert code == 0
+
+    def test_float_non_integer_anchor(self, tmp_path):
+        rep = tmp_path / "rep.jsonl"
+        code = main(["verify", "--backend", "float", "--a", "0.1",
+                     "--trials", "1", "--output", str(rep)])
         assert code == 0
 
     def test_deterministic_bytes(self, tmp_path):

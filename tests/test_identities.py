@@ -67,6 +67,20 @@ class TestFloatLattice:
                                      float):
                     assert rep.passed, (ident, alpha_text, n, rep.residual)
 
+    def test_non_integer_anchors(self):
+        # the verify lattice started at float anchors off the half-integers
+        for anchor in (0.1, 1 / 3, 0.7, -2.3):
+            for ident in ALL_IDENTITIES:
+                for alpha_text in VERIFY_ALPHAS:
+                    alpha = FracOrder.parse(alpha_text, exact=False)
+                    if ident in UNIT_INTERVAL and not alpha.alpha < 1:
+                        continue
+                    for n in VERIFY_SIZES:
+                        for rep in run_trial(ident, alpha, anchor, anchor + n,
+                                             0, False, float):
+                            assert rep.passed, (anchor, ident, alpha_text, n,
+                                                rep.identity_id, rep.residual)
+
 
 class TestProperties:
     @given(alpha=st.builds(rational, st.integers(1, 9), st.integers(2, 10)),

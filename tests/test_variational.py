@@ -5,6 +5,7 @@ import pytest
 
 from nablafrac.backend import rational
 from nablafrac.grid import DomainError, Grid, GridFn
+from nablafrac.identities import FLOAT_TOLERANCE
 from nablafrac.numerics import FracOrder
 from nablafrac.operators import nabla_left_riemann
 from nablafrac.variational import (Boundary, Formulation, Lagrangian,
@@ -222,6 +223,65 @@ class TestE2Forms:
         p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=rat("1")))
         with pytest.raises(DomainError):
             el_residual_forms(p, random_fn(18, 0, 7))
+
+
+class TestTranslationInvariance:
+    """Operators never read point values and the quadratic Lagrangian does
+    not read t, so a solve at a non-integer anchor must reproduce the
+    anchor-0 solve."""
+
+    CASES = [(Formulation.RIEMANN_A, "fixed", 0.4),
+             (Formulation.RIEMANN_B, "natural", 0.4),
+             (Formulation.RIEMANN_B, "fixed", 0.4),
+             (Formulation.CAPUTO, "fixed", 0.4),
+             (Formulation.CAPUTO, "natural", 0.4),
+             (Formulation.RIEMANN_A, "fixed", 1.4)]
+
+    @staticmethod
+    def problem(form, kind, alpha, N, anchor):
+        bnd = Boundary(kind)
+        if kind == "fixed":
+            bnd = Boundary("fixed", A=0.8,
+                           B=-0.3 if form is Formulation.CAPUTO else None)
+        return VariationalProblem(Grid(anchor, anchor + N), FracOrder(alpha),
+                                  form, bnd,
+                                  Lagrangian.quadratic_potential(1.3))
+
+    def solve_at(self, case, N, anchor):
+        p = self.problem(*case, N, anchor)
+        initial = None
+        if p.boundary.kind == "natural":
+            # start away from the zero solution so Newton takes steps
+            lo, _ = p.f_domain()
+            rng = random.Random(N)
+            initial = GridFn(lo, tuple(rng.uniform(-1, 1)
+                                       for _ in p.free_points()))
+        return solve(p, initial)
+
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("case", CASES,
+                             ids=lambda c: f"{c[0].value}-{c[1]}-{c[2]}")
+    def test_solve_matches_anchor_zero(self, case, N):
+        ref = self.solve_at(case, N, 0.0)
+        assert ref.converged
+        for anchor in (0.1, 1 / 3, 0.7, -2.3):
+            sol = self.solve_at(case, N, anchor)
+            assert sol.converged, anchor
+            assert sol.gradient_norm <= 1e-6, anchor
+            assert len(sol.f) == len(ref.f)
+            for x, y in zip(sol.f.values, ref.f.values):
+                assert abs(x - y) <= FLOAT_TOLERANCE * (
+                    1 + max(abs(x), abs(y))), anchor
+
+    def test_oracle_bumps_every_coordinate(self):
+        rng = random.Random(19)
+        vals = tuple(rng.uniform(-1, 1) for _ in range(15))
+        grads = []
+        for anchor in (0.0, 1 / 3):
+            p = self.problem(Formulation.RIEMANN_B, "fixed", 0.4, 16, anchor)
+            grads.append(gradient_oracle(p, GridFn(anchor + 1, vals)).values)
+        assert len(grads[1]) == 15
+        assert grads[1] == grads[0]
 
 
 class TestSolve:
