@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .backend import format_scalar, is_exact, is_integral, parse_scalar
+from .backend import format_scalar, parse_scalar
 
 __all__ = ["DomainError", "Grid", "GridFn", "shift_rho", "shift_sigma",
            "inner_sum", "read_gridfn_csv", "write_gridfn_csv"]
@@ -32,9 +32,9 @@ def _offset(t, lo) -> int:
         if abs(d - k) > _FLOAT_SNAP:
             raise DomainError(f"point {t} is not on the grid anchored at {lo}")
         return k
-    if not is_integral(d):
+    if d.denominator != 1:
         raise DomainError(f"point {t} is not on the grid anchored at {lo}")
-    return int(d)
+    return int(d.numerator)
 
 
 @dataclass(frozen=True)

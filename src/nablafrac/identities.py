@@ -245,7 +245,7 @@ def run_trial(identity_id: str, alpha, a, b, seed: int, exact: bool,
     """Run one seeded random trial of one identity; returns the report list
     (six for the shift properties, one otherwise)."""
     rng = random.Random(f"{identity_id}:{format_scalar(_order_value(alpha))}:"
-                        f"{b - a}:{seed}")
+                        f"{_offset(b, a)}:{seed}")
     f = random_gridfn(rng, a, b, exact, make)
     if identity_id == "SHIFT":
         return check_shift_properties(f, alpha, a, b, seed)

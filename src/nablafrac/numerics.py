@@ -96,15 +96,31 @@ def falling_factorial(t, alpha):
 # Weight lists of the most recently used orders, oldest first.  One verify
 # lattice block uses 7 distinct orders and a solve a few; a float run that
 # draws a fresh order per request would otherwise keep every list it built.
+# A rational order's entry also holds the integer form of its list (see
+# _ExactWeights), rebuilt only when the list grows.
 _WEIGHT_CACHE_ORDERS = 8
 _weight_cache: dict = {}
+
+
+class _ExactWeights(tuple):
+    """w_0..w_K of a rational order, carrying their integer form:
+    w_k = numerators[k] / denominator, with denominator the lcm of the
+    reduced denominators.  numerators may run past K (a prefix of a longer
+    cached list); its first K + 1 entries are the ones that match."""
+
+    def __new__(cls, w, numerators, denominator):
+        self = super().__new__(cls, w)
+        self.numerators = numerators
+        self.denominator = denominator
+        return self
 
 
 def weights(beta, K: int):
     """w_0..w_K with w_k = Gamma(k + beta)/(Gamma(beta) k!).
 
-    Exact for rational beta.  The recurrence also extends to beta <= 0,
-    which the eta-shift decomposition relies on.
+    Exact for rational beta, and then an _ExactWeights that also carries
+    the integer form.  The recurrence also extends to beta <= 0, which the
+    eta-shift decomposition relies on.
     """
     if K < 0:
         raise DomainError(f"weight count must be nonnegative, got {K}")
@@ -112,16 +128,46 @@ def weights(beta, K: int):
     if isinstance(beta, int):
         beta = rational(beta)  # keep the recurrence division exact
     key = (isinstance(beta, float), beta)
-    w = _weight_cache.pop(key, None)
-    if w is None:
-        w = [beta * 0 + 1]
+    entry = _weight_cache.pop(key, None)
+    if entry is None:
+        entry = [[beta * 0 + 1], None]
         if len(_weight_cache) >= _WEIGHT_CACHE_ORDERS:
             del _weight_cache[next(iter(_weight_cache))]
-    _weight_cache[key] = w
-    while len(w) <= K:
-        k = len(w)
-        w.append(w[k - 1] * (k + beta - 1) / k)
-    return tuple(w[:K + 1])
+    _weight_cache[key] = entry
+    w = entry[0]
+    if len(w) <= K:
+        entry[1] = None
+        while len(w) <= K:
+            k = len(w)
+            w.append(w[k - 1] * (k + beta - 1) / k)
+    if isinstance(beta, float):
+        return tuple(w[:K + 1])
+    if entry[1] is None:
+        entry[1] = _integers(w)
+    return _ExactWeights(w[:K + 1], *entry[1])
+
+
+def _integers(values):
+    """(X, L) with values[i] = X[i] / L: the integer numerators of exact
+    values over their common denominator L."""
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def _differences(values, n: int, negate: bool) -> tuple:
+    """n-fold forward differences x[k+1] - x[k] of values, or x[k] - x[k+1]
+    at every step with negate.  Exact values are differenced as integers over
+    their common denominator, one rational per output."""
+    exact = is_exact(values[0])
+    vals, L = _integers(values) if exact else (values, 1)
+    for _ in range(n):
+        if negate:
+            vals = [x - y for x, y in zip(vals, vals[1:])]
+        else:
+            vals = [y - x for x, y in zip(vals, vals[1:])]
+    if exact:
+        return tuple(rational(x, L) for x in vals)
+    return tuple(vals)
 
 
 def nabla_n(f: GridFn, n: int) -> GridFn:
@@ -130,10 +176,7 @@ def nabla_n(f: GridFn, n: int) -> GridFn:
         raise DomainError(f"difference order must be >= 1, got {n}")
     if len(f) < n + 1:
         raise DomainError(f"need at least {n + 1} points, have {len(f)}")
-    vals = f.values
-    for _ in range(n):
-        vals = tuple(vals[k] - vals[k - 1] for k in range(1, len(vals)))
-    return GridFn(f.lo + n, vals)
+    return GridFn(f.lo + n, _differences(f.values, n, False))
 
 
 def minus_delta_n(f: GridFn, n: int) -> GridFn:
@@ -143,7 +186,4 @@ def minus_delta_n(f: GridFn, n: int) -> GridFn:
         raise DomainError(f"difference order must be >= 1, got {n}")
     if len(f) < n + 1:
         raise DomainError(f"need at least {n + 1} points, have {len(f)}")
-    vals = f.values
-    for _ in range(n):
-        vals = tuple(vals[k] - vals[k + 1] for k in range(len(vals) - 1))
-    return GridFn(f.lo, vals)
+    return GridFn(f.lo, _differences(f.values, n, True))

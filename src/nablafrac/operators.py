@@ -14,15 +14,20 @@ This is the only place a value outside a function's domain is read as zero.
 Every operator reduces to one causal convolution with the weights.  Float
 convolutions longer than _DIRECT_MAX_LEN = 512 points take blocked FFTs in
 which each row's rounding depends only on the inputs it sums (crossover and
-error bound in the comment at _DIRECT_MAX_LEN); shorter ones and exact
-inputs take the direct sum.
+error bound in the comment at _DIRECT_MAX_LEN); shorter ones take the direct
+sum.  Exact convolutions and integer differences run on Python integers over
+a common denominator and build one rational per output.
 """
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
+from .backend import rational
 from .grid import DomainError, GridFn, _offset
-from .numerics import _order, minus_delta_n, nabla_n, weights
+from .numerics import (_differences, _integers, _order, minus_delta_n,
+                       nabla_n, weights)
 
 __all__ = [
     "nabla_left_sum", "nabla_right_sum",
@@ -96,11 +101,21 @@ def _float_left_conv(x, w):
 
 
 def _left_conv(values, w):
-    """out[m] = sum_{k=0}^{m} w[k] values[m-k]."""
+    """out[m] = sum_{k=0}^{m} w[k] values[m-k].
+
+    Exact values need w from `weights`: with w[k] = W_k / D and values
+    scaled to integers X_i over their common denominator L, row m is the
+    rational (sum_k W_k X_{m-k}) / (D L).
+    """
     if _is_float_values(values):
         return tuple(_float_left_conv(np.asarray(values), np.asarray(w)))
-    return tuple(sum(w[k] * values[m - k] for k in range(m + 1))
-                 for m in range(len(values)))
+    x, L = _integers(values)
+    x.reverse()
+    W, DL = w.numerators, w.denominator * L
+    n = len(x)
+    # x[n-1-m:] lists values[m], ..., values[0], and map stops at its end
+    return tuple(rational(sum(map(mul, W, x[n - 1 - m:])), DL)
+                 for m in range(n))
 
 
 def _right_conv(values, w):
@@ -241,13 +256,6 @@ def delta_right_sum(g: GridFn, alpha, b) -> GridFn:
     return GridFn(g.lo - av, _right_conv(body.values, w))
 
 
-def _delta_fwd_n(f: GridFn, n: int) -> GridFn:
-    vals = f.values
-    for _ in range(n):
-        vals = tuple(vals[k + 1] - vals[k] for k in range(len(vals) - 1))
-    return GridFn(f.lo, vals)
-
-
 def delta_left_riemann(g: GridFn, alpha, a) -> GridFn:
     """s-alpha -> (Delta_{a+1}^alpha g)(s-alpha): Delta^n of the complementary
     delta left sum; equals (nabla_a^alpha g)(s) under the dual shift."""
@@ -257,7 +265,7 @@ def delta_left_riemann(g: GridFn, alpha, a) -> GridFn:
     av = alpha.alpha
     inner = delta_left_sum(g, n - av, a)
     inner = inner.pad_zeros(inner.lo - n, inner.hi)
-    out = _delta_fwd_n(inner, n)
+    out = GridFn(inner.lo, _differences(inner.values, n, False))
     return out.restrict(a + 1 - av, out.hi)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from nablafrac.backend import format_scalar, rational
-from nablafrac.grid import (DomainError, Grid, GridFn, inner_sum,
+from nablafrac.grid import (DomainError, Grid, GridFn, _offset, inner_sum,
                             read_gridfn_csv, shift_rho, shift_sigma,
                             write_gridfn_csv)
 
@@ -23,6 +23,29 @@ class TestGrid:
     def test_reversed(self):
         with pytest.raises(DomainError):
             Grid(3, 1)
+
+
+class TestOffset:
+    @pytest.mark.parametrize("t,lo,k", [
+        (5, 2, 3),
+        (rational(5), 2, 3),
+        (5, rational(2), 3),
+        (rational("7/2"), rational("1/2"), 3),
+        (rational("-5/3"), rational("1/3"), -2),
+    ])
+    def test_exact_points(self, t, lo, k):
+        got = _offset(t, lo)
+        assert type(got) is int and got == k
+        assert len(range(got)) == max(k, 0)
+
+    @pytest.mark.parametrize("t,lo", [
+        (rational("5/2"), 0),
+        (3, rational("1/3")),
+        (rational("7/3"), rational("1/2")),
+    ])
+    def test_off_grid_exact_point(self, t, lo):
+        with pytest.raises(DomainError):
+            _offset(t, lo)
 
 
 class TestGridFn:

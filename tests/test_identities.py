@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nablafrac import identities
 from nablafrac.backend import rational
 from nablafrac.grid import GridFn
 from nablafrac.identities import (FLOAT_TOLERANCE, VERIFY_ALPHAS,
@@ -12,7 +13,7 @@ from nablafrac.identities import (FLOAT_TOLERANCE, VERIFY_ALPHAS,
                                   check_caputo_by_parts,
                                   check_riemann_caputo_by_parts,
                                   check_shift_properties, check_sum_by_parts,
-                                  run_trial)
+                                  random_gridfn, run_trial)
 from nablafrac.numerics import FracOrder
 
 ALL_IDENTITIES = ("P21", "P22", "P23", "P24", "T25", "T26", "SHIFT")
@@ -80,6 +81,28 @@ class TestFloatLattice:
                                              0, False, float):
                             assert rep.passed, (anchor, ident, alpha_text, n,
                                                 rep.identity_id, rep.residual)
+
+    def test_trial_inputs_do_not_depend_on_anchor(self, monkeypatch):
+        # (0.1 + 4) - 0.1 is 3.9999999999999996; the trial is seeded by the
+        # grid's integer length, so it draws what it draws at anchor 0
+        drawn = []
+
+        def recording(*args):
+            f = random_gridfn(*args)
+            drawn.append(f.values)
+            return f
+
+        monkeypatch.setattr(identities, "random_gridfn", recording)
+        runs = []
+        for anchor in (0.0, 0.1):
+            drawn.clear()
+            (rep,) = run_trial("P21", FracOrder(0.5), anchor, anchor + 4, 0,
+                               False, float)
+            runs.append((rep, list(drawn)))
+        (r0, inputs0), (r1, inputs1) = runs
+        assert inputs1 == inputs0
+        for x, y in ((r0.lhs, r1.lhs), (r0.rhs, r1.rhs)):
+            assert abs(x - y) <= FLOAT_TOLERANCE * (1 + max(abs(x), abs(y)))
 
 
 class TestProperties:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nablafrac import numerics
-from nablafrac.backend import rational
+from nablafrac.backend import format_scalar, rational
 from nablafrac.grid import DomainError, GridFn
 from nablafrac.numerics import (FracOrder, falling_factorial, minus_delta_n,
                                 nabla_n, rising_factorial, weights)
@@ -170,6 +170,25 @@ class TestIntegerDifferences:
         f = GridFn(0, (1, 4, 9, 16))
         d = minus_delta_n(f, 2)
         assert d.values == (2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("values", [
+        (1, 4, 9, 16, 25),
+        tuple(rat(t) for t in ("1/2", "-2/3", "5/7", "0", "3", "-11/12")),
+        (0.1, -2.5, 3.75, 1e-3, 7.0, 7.0, -0.2),
+    ])
+    def test_matches_tuple_differences(self, values, n):
+        # reference: n steps of pairwise differences of the values themselves
+        back, fwd = values, values
+        for _ in range(n):
+            back = tuple(back[k] - back[k - 1] for k in range(1, len(back)))
+            fwd = tuple(fwd[k] - fwd[k + 1] for k in range(len(fwd) - 1))
+        f = GridFn(3, values)
+        nd, md = nabla_n(f, n), minus_delta_n(f, n)
+        assert (nd.lo, md.lo) == (3 + n, 3)
+        # the written form: canonical p/q, floats bit for bit (and -0 != 0)
+        assert list(map(format_scalar, nd.values + md.values)) == \
+            list(map(format_scalar, back + fwd))
 
     def test_too_small(self):
         with pytest.raises(DomainError):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nablafrac import operators
-from nablafrac.backend import rational
+from nablafrac import numerics, operators
+from nablafrac.backend import format_scalar, rational
 from nablafrac.grid import DomainError, GridFn
 from nablafrac.identities import FLOAT_TOLERANCE
 from nablafrac.numerics import FracOrder, weights
@@ -202,6 +202,40 @@ class TestDeltaDuals:
         n = nabla_right_riemann(f, alpha, 8)
         for s in range(1, 8):
             assert d(s + alpha.alpha) == n(s)
+
+
+MIXED_DENOMINATORS = tuple(rat(t) for t in (
+    "3", "-1/6", "5/4", "0", "7/9", "-13/10", "2/3", "1/8", "-4"))
+
+
+class TestExactKernel:
+    """Exact convolutions run on integer numerators over a common
+    denominator; every row must be the canonical rational of the direct
+    double sum."""
+
+    @pytest.mark.parametrize("beta", ["1/2", "2/7", "3/2", "-1/2"])
+    @pytest.mark.parametrize("values", [
+        MIXED_DENOMINATORS, MIXED_DENOMINATORS[4:5],
+        tuple(rat(v) for v in (2, -9, 0, 5, 1, 7))])
+    def test_matches_fraction_double_sum(self, beta, values, monkeypatch):
+        monkeypatch.setattr(numerics, "_weight_cache", {})
+        n = len(values)
+        weights(rat(beta), 0)
+        # grow the cached list past an integer form already built, then
+        # reuse a prefix of the longer list
+        for K in (n - 1, n + 11, n - 1):
+            w = weights(rat(beta), K)
+            assert tuple(rational(W, w.denominator)
+                         for W in w.numerators[:K + 1]) == w
+            left = tuple(sum(w[k] * values[m - k] for k in range(m + 1))
+                         for m in range(n))
+            right = tuple(sum(w[j - i] * values[j] for j in range(i, n))
+                          for i in range(n))
+            for got, want in ((operators._left_conv(values, w), left),
+                              (operators._right_conv(values, w), right)):
+                assert list(map(format_scalar, got)) == \
+                    list(map(format_scalar, want))
+                assert {type(v) for v in got} == {type(rat("1"))}
 
 
 class TestOperatorMatrix:
