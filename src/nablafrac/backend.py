@@ -1,18 +1,14 @@
 """Scalar backends.
 
 Two interchangeable scalar types flow through the library: 64-bit floats and
-exact arbitrary-precision rationals (gmpy2.mpq, falling back to
-fractions.Fraction).  Exact values never mix with floats inside a single
-computation; the caller picks one backend and sticks to it.
+exact arbitrary-precision rationals (fractions.Fraction).  Exact values never
+mix with floats inside a single computation; the caller picks one backend and
+sticks to it.
 """
 from __future__ import annotations
 
 import math
-
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _rat
+from fractions import Fraction as _rat
 
 __all__ = [
     "rational",

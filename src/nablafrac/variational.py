@@ -14,9 +14,12 @@ Three formulations are supported for J(f) = sum_{t=a+1}^{b-1} L(t, u, v):
               on _b nabla^{-(1-alpha)} L_2 at a and b-1.
 
 The Euler-Lagrange residuals assembled here coincide with the partial
-derivatives of J on the free coordinates; the gradient oracle recomputes
-those derivatives by direct differencing of J and never touches the
-operator-based assembly.
+derivatives of J on the free coordinates.  Newton's residual and its
+Jacobian come from one set of lower-triangular Toeplitz maps built straight
+from the weights (_assembly).  The GridFn Euler-Lagrange residual
+(el_residual) and the gradient oracle, which recomputes the derivatives by
+direct differencing of J, are independent references that never touch
+those maps.
 """
 from __future__ import annotations
 
@@ -29,8 +32,7 @@ import numpy as np
 from .grid import DomainError, Grid, GridFn, _offset, shift_sigma
 from .numerics import FracOrder, weights
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
-                        nabla_right_riemann, nabla_right_sum_fn,
-                        operator_matrix)
+                        nabla_right_riemann)
 
 __all__ = ["Lagrangian", "Formulation", "Boundary", "VariationalProblem",
            "Solution", "action", "first_variation", "eta_shift_decomposition",
@@ -344,12 +346,6 @@ class Solution:
         return max(abs(v) for v in self.el_residual.values)
 
 
-def _terminal_sum_weights(p: VariationalProblem) -> np.ndarray:
-    """Coefficients of f(a+1..b-1) in nabla_a^{-(1-alpha)} f(b-1)."""
-    return np.array(weights(1 - p.alpha.alpha, p.grid.N - 2)[::-1],
-                    dtype=float)
-
-
 def _f_vector(p: VariationalProblem, x) -> np.ndarray:
     """Values on f_domain(): the fixed boundary values, then x on the free
     coordinates."""
@@ -368,126 +364,121 @@ def _build_f(p: VariationalProblem, x: Sequence[float]) -> GridFn:
     return GridFn(p.f_domain()[0], tuple(_f_vector(p, x).tolist()))
 
 
-def _natural_boundary_sums(p: VariationalProblem, f: GridFn):
-    """CAPUTO natural conditions: _b nabla^{-(1-alpha)} L_2 at a and b-1.
-
-    L_2 at t = a is evaluated with v = 0 (empty Caputo sum) and u = f(a)
-    standing in for the unavailable f(a-1)."""
-    a, b = p.grid.a, p.grid.b
-    _, l2 = _l1_l2(p, f)
-    l2a = p.lagrangian.d_v(a, f(a), f(a) * 0)
-    l2x = GridFn(a, (l2a,) + l2.values)            # on [a, b-1]
-    rs = nabla_right_sum_fn(l2x, 1 - p.alpha.alpha, b)
-    return rs(a), rs(b - 1)
+def _toeplitz(w, n: int) -> np.ndarray:
+    """The n x n lower-triangular Toeplitz matrix T[i, j] = w[i - j]."""
+    k = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.where(k >= 0, np.array(w[:n], dtype=float)[np.maximum(k, 0)],
+                    0.0)
 
 
-def _residual_vector(p: VariationalProblem, x: np.ndarray) -> np.ndarray:
-    form, bnd = p.formulation, p.boundary
-    constrained = form is Formulation.RIEMANN_B and bnd.kind == "fixed"
-    lam = x[-1] if constrained else None
-    f = _build_f(p, x[:-1] if constrained else x)
-    if form is Formulation.RIEMANN_B:
-        rows = list(_el_riemann_b(p, f, lam).values)
-        if constrained:
-            c = _terminal_sum_weights(p)
-            rows.append(sum(ci * v for ci, v in zip(c, f.values))
-                        - float(bnd.A))
-    else:
-        rows = list(el_residual(p, f).values)
-        if form is Formulation.CAPUTO and bnd.kind == "natural":
-            rows.extend(_natural_boundary_sums(p, f))
-    return np.array(rows, dtype=float)
-
-
-def _jacobian(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
-    """Jacobian by the chain rule through the constant operator matrices."""
-    U, cu, V, cv, P, Q, extra = assembly
-    form, bnd = p.formulation, p.boundary
-    constrained = form is Formulation.RIEMANN_B and bnd.kind == "fixed"
-    xf = x[:-1] if constrained else x
-    u = U @ xf + cu
-    v = V @ xf + cv
-    pts = _sum_points(p)
-    lag = p.lagrangian
-    duu = np.array([lag.d_uu(t, ui, vi) for t, ui, vi in zip(pts, u, v)])
-    duv = np.array([lag.d_uv(t, ui, vi) for t, ui, vi in zip(pts, u, v)])
-    dvv = np.array([lag.d_vv(t, ui, vi) for t, ui, vi in zip(pts, u, v)])
-    dl1 = duu[:, None] * U + duv[:, None] * V
-    dl2 = duv[:, None] * U + dvv[:, None] * V
-    core = P @ dl1 + Q @ dl2
-    return extra(core, u, v, dl2)
+def _times_minus_delta(M: np.ndarray) -> np.ndarray:
+    """M (-Delta), where -Delta maps g on n + 1 points to g(t) - g(t + 1) on
+    the first n: column j is M[:, j] - M[:, j - 1]."""
+    return np.diff(M, axis=1, prepend=0.0, append=0.0)
 
 
 def _assembly(p: VariationalProblem):
-    """Constant matrices: slot maps U, V (with offsets cu, cv from boundary
-    values) and residual maps P (L_1 factor) and Q (the right fractional
-    operator acting on L_2), plus a closure appending constraint and natural
-    condition rows."""
-    a, b = p.grid.a, p.grid.b
-    form, bnd = p.formulation, p.boundary
-    free = p._free()
-    lo, hi = p.f_domain()
-    pts = _sum_points(p)
+    """The constant maps of the Newton system, built from the weights.
 
-    # map full f-vector -> free part + constant part
-    fixed = _f_vector(p, 0.0)
+    The slot maps U, V take the unknowns x to u, v at the points ts, with
+    offsets cu, cv from the boundary values.  With L_1, L_2 the Lagrangian
+    partials at (ts, u, v), the residual is Q L_2 plus L_1 from ts[k] on in
+    its first rows.  With T(w) the lower-triangular Toeplitz matrix of w:
 
-    def vmap(e_full: GridFn) -> np.ndarray:
-        return np.array(_v_fn(p, e_full).values, dtype=float)
-
-    _, rows = operator_matrix(
-        lambda e: GridFn(pts[0], tuple(vmap(e))), lo, hi, 1.0, 0.0)
-    Mv = np.array(rows)
-    V = Mv[:, free]
-    cv = Mv @ fixed
-
-    # u slot at t = a+1 .. b-1: f(t) (Riemann) or f(t-1) (Caputo)
-    shift = 1 if form is Formulation.CAPUTO else 0
-    Mu = np.eye(len(pts), len(fixed), 1 - shift - _offset(lo, a))
-    U = Mu[:, free]
-    cu = Mu @ fixed
-
-    # right operator acting on L_2 over [a+1, b-1]
+      RIEMANN_A : V = T(w(-alpha))[1:], Q = T(w(-alpha))^T, on [a+1, b-1];
+      RIEMANN_B : V = T(w(-alpha)), Q = T(w(1-alpha))^T (-Delta) on L_2
+                  extended to t = b by the multiplier x[-1], whose column
+                  c is set only in the fixed case: there the residual adds
+                  x[-1] c and the constraint row -c f - A, with
+                  -c = T(w(1-alpha))[-1];
+      CAPUTO    : V = T(w(1-alpha)) nabla, Q = T(w(-alpha))^T less its last
+                  row, k = 1.  In the natural case ts starts at a, where
+                  u = f(a) and v = 0 stand in, so that the natural rows are
+                  T(w(1-alpha))^T[[0, -1]] L_2.
+    """
+    form, bnd, N = p.formulation, p.boundary, p.grid.N
+    m = N - 1                                  # sum points a+1 .. b-1
+    al = p.alpha.alpha
+    ts, k, c = _sum_points(p), 0, None
     if form is Formulation.RIEMANN_B:
-        def qop(e):
-            ext = GridFn(e.lo, e.values + (0.0,))
-            out = caputo_right(ext, p.alpha, b + 1, truncate=True)
-            return out.restrict(a + 1, b - 1)
+        T1 = _toeplitz(weights(1 - al, m - 1), m)
+        Mu, Mv = np.eye(m), _toeplitz(weights(-al, m - 1), m)
+        Qx = _times_minus_delta(T1.T)          # last column: L_2(b)
+        Q = Qx[:, :m]
+        if bnd.kind == "fixed":
+            c = Qx[:, m]
+            Q = np.vstack([Q, np.zeros(m)])    # the constraint row
     else:
-        def qop(e):
-            return nabla_right_riemann(e, p.alpha, b)
-    _, qrows = operator_matrix(qop, pts[0], pts[-1], 1.0, 0.0)
-    Qfull = np.array(qrows)
+        W = _toeplitz(weights(-al, m), N)
+        if form is Formulation.RIEMANN_A:
+            Mu, Mv, Q = np.eye(m, N, 1), W[1:], W.T[1:, 1:]
+        else:
+            if N < 3:
+                raise DomainError("CAPUTO residual needs b - a >= 3")
+            T1 = _toeplitz(weights(1 - al, m), N)
+            Mu = np.eye(N, N, -1)
+            Mu[0, 0] = 1.0
+            Mv = np.zeros((N, N))
+            Mv[1:] = -_times_minus_delta(T1[1:, 1:])
+            # rows s = a+1 .. b-2 pair L_1(s+1) with the operator at s
+            Q = W.T[1:-1]
+            if bnd.kind == "natural":
+                ts, k = [p.grid.a] + ts, 2
+                Q = np.vstack([Q, T1.T[[0, -1]]])
+            else:
+                # t = a enters only the natural rows
+                Mu, Mv, Q, k = Mu[1:], Mv[1:], Q[:, 1:], 1
 
-    if form is Formulation.CAPUTO:
-        # rows s = a+1 .. b-2 pair L_1(s+1) with the operator at s
-        Q = Qfull[:-1]
-        P = np.eye(len(pts) - 1, len(pts), 1)
-    else:
-        Q = Qfull
-        P = np.eye(len(pts))
+    free = p._free()
+    fixed = _f_vector(p, 0.0)
+    nx = len(free) + int(c is not None)
 
-    wlam = _terminal_sum_weights(p) if form is Formulation.RIEMANN_B else None
+    def on_x(M):
+        """M's columns on the free coordinates, padded to x, and the offset
+        from the fixed values."""
+        X = np.zeros((len(M), nx))
+        X[:, :len(free)] = M[:, free]
+        return X, M @ fixed
 
-    def extra(core, u, v, dl2):
-        if form is Formulation.RIEMANN_B and bnd.kind == "fixed":
-            # multiplier column on the EL rows, then the constraint row
-            top = np.hstack([core, -wlam[:, None]])
-            bottom = np.hstack([wlam, [0.0]])
-            return np.vstack([top, bottom])
-        if form is Formulation.CAPUTO and bnd.kind == "natural":
-            # natural rows are right sums of L_2 over [a, b-1]; the t = a
-            # slot has v = 0 and u = f(a)
-            wnat = np.array(weights(1 - p.alpha.alpha, p.grid.N - 1),
-                            dtype=float)
-            dl2a = np.zeros(core.shape[1])
-            dl2a[0] = float(p.lagrangian.d_uv(a, u[0], 0.0))  # f(a) is free
-            row_a = wnat[1:p.grid.N] @ dl2 + wnat[0] * dl2a
-            row_b1 = dl2[-1, :]
-            return np.vstack([core, row_a, row_b1])
-        return core
+    U, cu = on_x(Mu)
+    V, cv = on_x(Mv)
+    return ts, U, cu, V, cv, k, Q, c
 
-    return U, cu, V, cv, P, Q, extra
+
+def _partials(x: np.ndarray, assembly, *ds) -> list:
+    """Each Lagrangian partial in ds at the points ts and the slot values
+    of x."""
+    ts, U, cu, V, cv = assembly[:5]
+    uv = list(zip(ts, (U @ x + cu).tolist(), (V @ x + cv).tolist()))
+    return [np.array([d(t, u, v) for t, u, v in uv], dtype=float)
+            for d in ds]
+
+
+def _residual(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
+    """The Newton residual (see _assembly)."""
+    *_, k, Q, c = assembly
+    lag = p.lagrangian
+    l1, l2 = _partials(x, assembly, lag.d_u, lag.d_v)
+    r = Q @ l2
+    r[:len(l1) - k] += l1[k:]
+    if c is not None:
+        r[:-1] += x[-1] * c
+        r[-1] -= c @ x[:-1] + float(p.boundary.A)
+    return r
+
+
+def _jacobian(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
+    """Jacobian of _residual by the chain rule through the constant maps."""
+    ts, U, _, V, _, k, Q, c = assembly
+    lag = p.lagrangian
+    duu, duv, dvv = (d[:, None] for d in _partials(
+        x, assembly, lag.d_uu, lag.d_uv, lag.d_vv))
+    J = Q @ (duv * U + dvv * V)
+    J[:len(ts) - k] += (duu * U + duv * V)[k:]
+    if c is not None:
+        J[:-1, -1] += c
+        J[-1, :-1] -= c
+    return J
 
 
 def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
@@ -510,7 +501,7 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
         x = np.array([float(initial(t)) for t in free] +
                      ([0.0] if constrained else []))
     assembly = _assembly(p)
-    r = _residual_vector(p, x)
+    r = _residual(p, x, assembly)
     iterations = 0
     converged = bool(np.max(np.abs(r)) <= tol)
     while not converged and iterations < max_iter:
@@ -522,7 +513,7 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
         step, best = 1.0, None
         for _ in range(30):
             cand = x + step * dx
-            rc = _residual_vector(p, cand)
+            rc = _residual(p, cand, assembly)
             if np.linalg.norm(rc) < np.linalg.norm(r) \
                     or np.max(np.abs(rc)) <= tol:
                 best = (cand, rc)
@@ -536,12 +527,11 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
 
     lam = float(x[-1]) if constrained else None
     f = _build_f(p, x[:-1] if constrained else x)
-    el = el_residual(p, f, l2_at_b=lam) \
-        if p.formulation is Formulation.RIEMANN_B else el_residual(p, f)
+    el = el_residual(p, f, l2_at_b=lam)
     grad = gradient_oracle(p, f)
     gvals = np.array(grad.values, dtype=float)
     if constrained:
-        gvals = gvals - lam * _terminal_sum_weights(p)
+        gvals = gvals + lam * assembly[-1]     # the constraint row is -c
     return Solution(f=f, el_residual=el,
                     gradient_norm=float(np.max(np.abs(gvals))),
                     iterations=iterations, converged=converged,

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,11 +8,17 @@ from nablafrac.backend import rational
 from nablafrac.grid import DomainError, Grid, GridFn
 from nablafrac.identities import FLOAT_TOLERANCE
 from nablafrac.numerics import FracOrder
-from nablafrac.operators import nabla_left_riemann
+from nablafrac.operators import (caputo_right, nabla_left_riemann,
+                                 nabla_left_sum, nabla_left_sum_fn,
+                                 nabla_right_riemann, nabla_right_sum_fn,
+                                 operator_matrix)
 from nablafrac.variational import (Boundary, Formulation, Lagrangian,
-                                   VariationalProblem, action, el_residual,
-                                   el_residual_forms, eta_shift_decomposition,
-                                   first_variation, gradient_oracle, solve)
+                                   VariationalProblem, _assembly, _build_f,
+                                   _f_vector, _jacobian, _residual,
+                                   _sum_points, _u_of, _v_fn, action,
+                                   el_residual, el_residual_forms,
+                                   eta_shift_decomposition, first_variation,
+                                   gradient_oracle, solve)
 
 
 def rat(text):
@@ -330,11 +337,35 @@ class TestSolve:
         assert sol.f(0) == 1.0 and sol.f(7) == 0.5
         assert sol.gradient_norm <= 1e-8
 
+    def test_caputo_fixed_never_reads_the_anchor(self):
+        # L = u^2/2 + |v|^(3/2) has d_vv infinite at v = 0; the fixed system
+        # sums over a+1 .. b-1 only, so t = a (where v = 0) is never read
+        lag = Lagrangian(
+            "three-halves", eval=lambda t, u, v: u * u / 2 + abs(v) ** 1.5,
+            d_u=lambda t, u, v: u,
+            d_v=lambda t, u, v: 1.5 * math.copysign(abs(v) ** 0.5, v),
+            d_uu=lambda t, u, v: 1.0, d_uv=lambda t, u, v: 0.0,
+            d_vv=lambda t, u, v: 0.75 * abs(v) ** -0.5)
+        p = make_problem(Formulation.CAPUTO, Boundary("fixed", A=1.0, B=0.5),
+                         lag=lag, exact=False)
+        sol = solve(p)
+        assert sol.converged
+        assert sol.f(0) == 1.0 and sol.f(7) == 0.5
+        assert sol.gradient_norm <= 1e-8
+
     def test_nonconvergence_reported(self):
         p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=1.0),
                          lag=Lagrangian.quartic_potential(), exact=False)
         sol = solve(p, max_iter=8)  # beyond the fold, no solution to find
         assert not sol.converged
+
+    @pytest.mark.parametrize("bnd", [Boundary("fixed", A=1.0, B=0.5),
+                                     Boundary("natural")],
+                             ids=lambda b: b.kind)
+    def test_caputo_too_short_rejected(self, bnd):
+        p = make_problem(Formulation.CAPUTO, bnd, N=2, exact=False)
+        with pytest.raises(DomainError):
+            solve(p)
 
     def test_exact_backend_rejected(self):
         p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=rat("1")))
@@ -366,3 +397,144 @@ class TestSolve:
         classical = np.linalg.solve(H, -g0)
         ours = np.array([sol.f(t) for t in range(1, N)])
         assert np.max(np.abs(ours - classical)) <= 1e-3
+
+
+def _close(got, want, tol=FLOAT_TOLERANCE):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    bound = tol * (1 + np.maximum(np.abs(got), np.abs(want)))
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want))
+
+
+class TestAssembly:
+    """The Newton system's Toeplitz maps against the GridFn operators they
+    stand for, probed by operator_matrix, and its residual against the
+    GridFn Euler-Lagrange residual."""
+
+    CASES = TestTranslationInvariance.CASES[:5] + [
+        (Formulation.RIEMANN_A, "fixed", 1.6)]
+
+    # L = v^2/2 - u^4/4 + t u v: nonlinear, and it reads the point t
+    LAG = Lagrangian("mixed",
+                     eval=lambda t, u, v: v * v / 2 - u ** 4 / 4 + t * u * v,
+                     d_u=lambda t, u, v: -u ** 3 + t * v,
+                     d_v=lambda t, u, v: v + t * u,
+                     d_uu=lambda t, u, v: -3 * u * u,
+                     d_uv=lambda t, u, v: t + u * 0,
+                     d_vv=lambda t, u, v: u * 0 + 1)
+
+    @classmethod
+    def problem(cls, form, kind, alpha, N, anchor):
+        bnd = Boundary(kind)
+        if kind == "fixed":
+            bnd = Boundary("fixed", A=0.8,
+                           B=-0.3 if form is Formulation.CAPUTO else None)
+        return VariationalProblem(Grid(anchor, anchor + N), FracOrder(alpha),
+                                  form, bnd, cls.LAG)
+
+    @staticmethod
+    def probe(op, lo, hi):
+        return np.array(operator_matrix(op, lo, hi, 1.0, 0.0)[1])
+
+    PARAMS = pytest.mark.parametrize(
+        "case,N,anchor",
+        [(c, N, anchor) for c in CASES for N in (3, 8, 64)
+         for anchor in (0.0, 1 / 3)],
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else f"{v:.3g}")
+
+    @PARAMS
+    def test_maps_match_probed_operators(self, case, N, anchor):
+        form, kind, alpha = case
+        p = self.problem(form, kind, alpha, N, anchor)
+        ts, U, cu, V, cv, k, Q, c = _assembly(p)
+        a, b = p.grid.a, p.grid.b
+        m = N - 1
+        lo, hi = p.f_domain()
+        free, fixed = p._free(), _f_vector(p, 0.0)
+        pts = _sum_points(p)
+        caputo = form is Formulation.CAPUTO
+        natural = caputo and kind == "natural"
+        constrained = form is Formulation.RIEMANN_B and kind == "fixed"
+        nfree = len(free)
+
+        # slot maps on the sum points; the CAPUTO natural case puts t = a
+        # first.  L_1 from ts[k] on feeds the rows at a+1, ...
+        k0 = 1 if natural else 0
+        assert list(ts[k0:]) == pts
+        assert list(ts[k:]) == (pts[1:] if caputo else pts)
+        Mu = self.probe(lambda e: GridFn(
+            pts[0], tuple(_u_of(p, e, t) for t in pts)), lo, hi)
+        Mv = self.probe(lambda e: _v_fn(p, e), lo, hi)
+        for got, off, M in ((U, cu, Mu), (V, cv, Mv)):
+            _close(got[k0:, :nfree], M[:, free])
+            _close(off[k0:], M @ fixed)
+            assert not got[:, nfree:].any()
+        if natural:
+            assert ts[0] == a
+            _close(U[0, :nfree], np.eye(N)[0, free])
+            _close(cu[0], fixed[0])
+            assert not V[0].any() and cv[0] == 0
+
+        # the right operator on L_2 over [a+1, b-1]
+        if form is Formulation.RIEMANN_B:
+            Qx = self.probe(lambda e: caputo_right(
+                e, alpha, b + 1, truncate=True).restrict(a + 1, b - 1),
+                a + 1, b)
+            _close(Q[:m], Qx[:, :m])
+        else:
+            Qr = self.probe(lambda e: nabla_right_riemann(e, alpha, b),
+                            a + 1, b - 1)
+            if natural:
+                assert not Q[:m - 1, 0].any()
+                _close(Q[:m - 1, 1:], Qr[:-1])
+            elif caputo:
+                _close(Q, Qr[:-1])
+            else:
+                _close(Q, Qr)
+
+        # border rows and columns
+        if natural:
+            rs = self.probe(lambda e: nabla_right_sum_fn(e, 1 - alpha, b),
+                            a, b - 1)
+            _close(Q[m - 1:], rs[[0, N - 1]])
+        if constrained:
+            row = self.probe(lambda e: nabla_left_sum_fn(
+                e, 1 - alpha, a).restrict(b - 1, b - 1), a + 1, b - 1)[0]
+            _close(c, Qx[:, m])
+            _close(-c, row)
+            assert len(Q) == m + 1 and not Q[m].any()
+        else:
+            assert c is None
+
+    @PARAMS
+    def test_residual_matches_gridfn_reference(self, case, N, anchor):
+        form, kind, alpha = case
+        p = self.problem(form, kind, alpha, N, anchor)
+        a, b = p.grid.a, p.grid.b
+        constrained = form is Formulation.RIEMANN_B and kind == "fixed"
+        rng = np.random.default_rng(N)
+        x = rng.uniform(-1, 1, len(p._free()) + constrained)
+        lam = float(x[-1]) if constrained else None
+        f = _build_f(p, x[:-1] if constrained else x)
+
+        want = list(el_residual(p, f, l2_at_b=lam).values)
+        if form is Formulation.CAPUTO and kind == "natural":
+            # L_2 on [a, b-1], with u = f(a) and v = 0 standing in at t = a
+            l2 = [self.LAG.d_v(a, f(a), 0.0)] + [
+                self.LAG.d_v(t, _u_of(p, f, t), _v_fn(p, f)(t))
+                for t in _sum_points(p)]
+            rs = nabla_right_sum_fn(GridFn(a, tuple(l2)), 1 - alpha, b)
+            want += [rs(a), rs(b - 1)]
+        if constrained:
+            want.append(nabla_left_sum(f, 1 - alpha, a, b - 1) - 0.8)
+        assembly = _assembly(p)
+        r = _residual(p, x, assembly)
+        _close(r, want)
+
+        # the Jacobian is the derivative of that residual
+        dx = rng.uniform(-1, 1, len(x))
+        h = 1e-6
+        fd = (_residual(p, x + h * dx, assembly)
+              - _residual(p, x - h * dx, assembly)) / (2 * h)
+        _close(_jacobian(p, x, assembly) @ dx, fd, tol=1e-6)
