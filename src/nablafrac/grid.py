@@ -10,6 +10,7 @@ so a float anchor such as 0.1 behaves exactly like 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .backend import format_scalar, parse_scalar
@@ -126,9 +127,11 @@ def shift_sigma(f: GridFn) -> GridFn:
 
 
 def inner_sum(f: GridFn, g: GridFn, lo, hi):
-    """Sum of f(s) g(s) over grid points s in [lo, hi]."""
-    n = _offset(hi, lo)
-    return sum(f(lo + k) * g(lo + k) for k in range(n + 1))
+    """Sum of f(s) g(s) over grid points s in [lo, hi], added left to right;
+    0 if hi < lo."""
+    if _offset(hi, lo) < 0:
+        return 0
+    return sum(map(mul, f.restrict(lo, hi).values, g.restrict(lo, hi).values))
 
 
 def write_gridfn_csv(f: GridFn, path) -> None:

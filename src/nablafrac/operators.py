@@ -108,7 +108,8 @@ def _left_conv(values, w):
     rational (sum_k W_k X_{m-k}) / (D L).
     """
     if _is_float_values(values):
-        return tuple(_float_left_conv(np.asarray(values), np.asarray(w)))
+        out = _float_left_conv(np.asarray(values), np.asarray(w))
+        return tuple(out.tolist())
     x, L = _integers(values)
     x.reverse()
     W, DL = w.numerators, w.denominator * L

@@ -19,12 +19,14 @@ Jacobian come from one set of lower-triangular Toeplitz maps built straight
 from the weights (_assembly).  The GridFn Euler-Lagrange residual
 (el_residual) and the gradient oracle, which recomputes the derivatives by
 direct differencing of J, are independent references that never touch
-those maps.
+those maps; they read values by offset slices, not point by point.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -183,44 +185,37 @@ def _v_fn(p: VariationalProblem, f: GridFn) -> GridFn:
     return caputo_left(f, p.alpha, a).restrict(a + 1, b - 1)
 
 
-def _u_of(p: VariationalProblem, f: GridFn, t):
+def _slots(p: VariationalProblem, f: GridFn):
+    """(ts, us, vs): the sum points t = a+1 .. b-1 and the u and v slot
+    values there, read by offset slices of f on f_domain()."""
+    f = f.restrict(*p.f_domain())
+    ts = _sum_points(p)
     if p.formulation is Formulation.CAPUTO:
-        return f(t - 1)
-    return f(t)
+        us = f.values[:-1]                     # u(t) = f(t - 1)
+    else:
+        us = f.values[-len(ts):]
+    return ts, us, _v_fn(p, f).values
 
 
 def action(p: VariationalProblem, f: GridFn):
     """J(f) = sum over t = a+1 .. b-1 of L(t, u(t), v(t))."""
-    lo, hi = p.f_domain()
-    f = f.restrict(lo, hi)
-    v = _v_fn(p, f)
-    return sum(p.lagrangian.eval(t, _u_of(p, f, t), v(t))
-               for t in _sum_points(p))
+    return sum(map(p.lagrangian.eval, *_slots(p, f)))
 
 
 def _l1_l2(p: VariationalProblem, f: GridFn):
-    v = _v_fn(p, f)
-    pts = _sum_points(p)
-    l1 = GridFn(pts[0], tuple(
-        p.lagrangian.d_u(t, _u_of(p, f, t), v(t)) for t in pts))
-    l2 = GridFn(pts[0], tuple(
-        p.lagrangian.d_v(t, _u_of(p, f, t), v(t)) for t in pts))
-    return l1, l2
+    ts, us, vs = _slots(p, f)
+    lag = p.lagrangian
+    return (GridFn(ts[0], tuple(map(lag.d_u, ts, us, vs))),
+            GridFn(ts[0], tuple(map(lag.d_v, ts, us, vs))))
 
 
 def first_variation(p: VariationalProblem, f: GridFn, eta: GridFn):
     """Directional derivative of J at f along eta:
     sum of eta-slot * L_1 + (D^alpha eta) * L_2 over t = a+1 .. b-1."""
-    lo, hi = p.f_domain()
-    f = f.restrict(lo, hi)
-    eta = eta.restrict(lo, hi)
     l1, l2 = _l1_l2(p, f)
-    d_eta = _v_fn(p, eta)
-    total = None
-    for t in _sum_points(p):
-        term = _u_of(p, eta, t) * l1(t) + d_eta(t) * l2(t)
-        total = term if total is None else total + term
-    return total
+    _, us, vs = _slots(p, eta)
+    return reduce(add, (u * x + v * y for u, x, v, y
+                        in zip(us, l1.values, vs, l2.values)))
 
 
 def eta_shift_decomposition(eta: GridFn, alpha, a, t):
@@ -252,11 +247,16 @@ def _l1_l2_to_b(p: VariationalProblem, f: GridFn, l2_at_b):
     return l1, GridFn(l2.lo, l2.values + (ext,))
 
 
+def _plus(l1: GridFn, r: GridFn, k: int = 0) -> GridFn:
+    """Value i is l1.values[k + i] + r.values[i], from the point l1.lo on,
+    for as long as both last (r may run past l1)."""
+    return GridFn(l1.lo, tuple(map(add, l1.values[k:], r.values)))
+
+
 def _el_riemann_b(p: VariationalProblem, f: GridFn, l2_at_b=None) -> GridFn:
     """E2 residual with the v-partial extended to t = b."""
     l1, l2x = _l1_l2_to_b(p, f, l2_at_b)
-    cr = caputo_right(l2x, p.alpha, p.grid.b + 1, truncate=True)
-    return GridFn(l1.lo, tuple(l1(t) + cr(t) for t in _sum_points(p)))
+    return _plus(l1, caputo_right(l2x, p.alpha, p.grid.b + 1, truncate=True))
 
 
 def el_residual_forms(p: VariationalProblem, f: GridFn, l2_at_b=None):
@@ -267,12 +267,10 @@ def el_residual_forms(p: VariationalProblem, f: GridFn, l2_at_b=None):
     if p.formulation is not Formulation.RIEMANN_B:
         raise DomainError("residual forms exist only for the terminal-sum "
                           "formulation")
-    lo, hi = p.f_domain()
-    f = f.restrict(lo, hi)
     l1, l2x = _l1_l2_to_b(p, f, l2_at_b)
+    # the shifted operator starts at a: its value at s - 1 meets L_1(s)
     cr = caputo_right(shift_sigma(l2x), p.alpha, p.grid.b, truncate=True)
-    shifted = GridFn(l1.lo, tuple(l1(s) + cr(s - 1) for s in _sum_points(p)))
-    return shifted, _el_riemann_b(p, f, l2_at_b)
+    return _plus(l1, cr), _el_riemann_b(p, f, l2_at_b)
 
 
 def el_residual(p: VariationalProblem, f: GridFn,
@@ -285,19 +283,15 @@ def el_residual(p: VariationalProblem, f: GridFn,
 
     l2_at_b overrides the RIEMANN_B extension value of L_2 at t = b.
     """
-    lo, hi = p.f_domain()
-    f = f.restrict(lo, hi)
-    a, b = p.grid.a, p.grid.b
     if p.formulation is Formulation.RIEMANN_B:
         return _el_riemann_b(p, f, l2_at_b)
     l1, l2 = _l1_l2(p, f)
-    rr = nabla_right_riemann(l2, p.alpha, b)
+    rr = nabla_right_riemann(l2, p.alpha, p.grid.b)
     if p.formulation is Formulation.RIEMANN_A:
-        return GridFn(l1.lo, tuple(l1(t) + rr(t) for t in _sum_points(p)))
+        return _plus(l1, rr)
     if p.grid.N < 3:
         raise DomainError("CAPUTO residual needs b - a >= 3")
-    pts = [a + k for k in range(1, p.grid.N - 1)]
-    return GridFn(pts[0], tuple(l1(s + 1) + rr(s) for s in pts))
+    return _plus(l1, rr, 1)
 
 
 def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
@@ -498,7 +492,8 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     if initial is None:
         x = np.zeros(m)
     else:
-        x = np.array([float(initial(t)) for t in free] +
+        x = np.array([float(v) for v in
+                      initial.restrict(free[0], free[-1]).values] +
                      ([0.0] if constrained else []))
     assembly = _assembly(p)
     r = _residual(p, x, assembly)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nablafrac.backend import format_scalar, rational
@@ -101,6 +103,43 @@ class TestGridFn:
         f = GridFn(0, (1, 2, 3))
         g = GridFn(0, (4, 5, 6))
         assert inner_sum(f, g, 0, 2) == 4 + 10 + 18
+
+
+class TestInnerSum:
+    """inner_sum reads by offset slices; it must add the same products in
+    the same order as the pointwise definition, and never truncate."""
+
+    @staticmethod
+    def pointwise(f, g, lo, hi):
+        return sum(f(lo + k) * g(lo + k) for k in range(_offset(hi, lo) + 1))
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_anchor_one_third_matches_pointwise(self, exact):
+        rng = random.Random(3)
+        if exact:
+            a = rational(1, 3)
+            draw = lambda: rational(rng.randint(-99, 99), rng.randint(1, 9))
+        else:
+            a = 1 / 3
+            draw = lambda: rng.uniform(-1e3, 1e3)
+        f = GridFn(a, tuple(draw() for _ in range(40)))
+        g = GridFn(a - 5, tuple(draw() for _ in range(50)))
+        for lo, hi in ((a, a + 39), (a + 2, a + 30), (a + 7, a + 7)):
+            got = inner_sum(f, g, lo, hi)
+            assert got == self.pointwise(f, g, lo, hi)
+            assert type(got) is type(f.values[0])
+
+    @pytest.mark.parametrize("lo,hi", [(0, 3), (-1, 2), (1, 5), (2, 6)])
+    def test_range_outside_an_operand_raises(self, lo, hi):
+        f = GridFn(0, (1, 2, 3, 4, 5))          # [0, 4]
+        g = GridFn(1, (1, 1, 1, 1, 1, 1))       # [1, 6]
+        for x, y in ((f, g), (g, f)):
+            with pytest.raises(DomainError):
+                inner_sum(x, y, lo, hi)
+
+    def test_empty_range_is_zero(self):
+        f = GridFn(0, (1, 2, 3))
+        assert inner_sum(f, f, 2, 1) == 0
 
 
 class TestCsv:

@@ -329,3 +329,28 @@ class TestLongHorizonFloat:
                                 [np.dot(w[:m + 1], x[m::-1]) for m in rows])
             assert_float_policy([right[i] for i in rows],
                                 [np.dot(w[:n - i], x[i:]) for i in rows])
+
+
+class TestFloatOutputsArePythonFloats:
+    """Float operators hand back Python floats, not numpy scalars, on the
+    direct convolution path (n <= 512) and the FFT path (n > 512)."""
+
+    OPS = [nabla_left_sum_fn, nabla_right_sum_fn, nabla_left_riemann,
+           nabla_right_riemann, caputo_left, caputo_right, delta_left_sum,
+           delta_right_sum, delta_left_riemann, delta_right_riemann]
+    LEFT = (nabla_left_sum_fn, nabla_left_riemann, caputo_left,
+            delta_left_sum, delta_left_riemann)
+
+    @pytest.mark.parametrize("n", [100, 2000])
+    @pytest.mark.parametrize("alpha", [0.4, 1.4])
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_values_are_python_floats(self, op, alpha, n):
+        rng = np.random.default_rng(n)
+        f = GridFn(0.0, tuple(rng.uniform(-1, 1, n).tolist()))
+        if op in self.LEFT:
+            anchor = f.lo
+        else:
+            anchor = f.hi if op is caputo_right else f.hi + 1
+        out = op(f, FracOrder(alpha), anchor)
+        assert len(out) >= n - 2
+        assert all(type(v) is float for v in out.values)

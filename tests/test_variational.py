@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nablafrac.backend import rational
-from nablafrac.grid import DomainError, Grid, GridFn
+from nablafrac.grid import DomainError, Grid, GridFn, shift_sigma
 from nablafrac.identities import FLOAT_TOLERANCE
 from nablafrac.numerics import FracOrder
 from nablafrac.operators import (caputo_right, nabla_left_riemann,
@@ -15,7 +15,7 @@ from nablafrac.operators import (caputo_right, nabla_left_riemann,
 from nablafrac.variational import (Boundary, Formulation, Lagrangian,
                                    VariationalProblem, _assembly, _build_f,
                                    _f_vector, _jacobian, _residual,
-                                   _sum_points, _u_of, _v_fn, action,
+                                   _sum_points, _v_fn, action,
                                    el_residual, el_residual_forms,
                                    eta_shift_decomposition, first_variation,
                                    gradient_oracle, solve)
@@ -29,6 +29,11 @@ def random_fn(seed, lo, hi):
     rng = random.Random(seed)
     return GridFn(lo, tuple(rational(rng.randint(-9, 9), rng.randint(1, 4))
                             for _ in range(int(hi - lo) + 1)))
+
+
+def _u_of(p, f, t):
+    """The u slot at t, point by point: the reference for its slices."""
+    return f(t - 1) if p.formulation is Formulation.CAPUTO else f(t)
 
 
 def make_problem(form, bnd, alpha="1/2", N=8, lag=None, exact=True):
@@ -538,3 +543,102 @@ class TestAssembly:
         fd = (_residual(p, x + h * dx, assembly)
               - _residual(p, x - h * dx, assembly)) / (2 * h)
         _close(_jacobian(p, x, assembly) @ dx, fd, tol=1e-6)
+
+
+class TestPointwiseReference:
+    """action, first_variation, el_residual and el_residual_forms read their
+    values by offset slices; they must give exactly (==) what the
+    pointwise definitions give, in both backends."""
+
+    CASES = TestAssembly.CASES
+    LAG = TestAssembly.LAG
+
+    @classmethod
+    def problem(cls, form, kind, alpha, N, anchor, exact):
+        if not exact:
+            return TestAssembly.problem(form, kind, alpha, N, anchor)
+        cv = lambda x: rational(round(10 * x), 10)
+        a = rational(round(3 * anchor), 3)
+        bnd = Boundary(kind)
+        if kind == "fixed":
+            bnd = Boundary("fixed", A=cv(0.8),
+                           B=cv(-0.3) if form is Formulation.CAPUTO else None)
+        return VariationalProblem(Grid(a, a + N), FracOrder(cv(alpha)), form,
+                                  bnd, cls.LAG, exact=True)
+
+    @staticmethod
+    def draw(p, seed):
+        lo, hi = p.f_domain()
+        rng = random.Random(seed)
+        n = round(hi - lo) + 1
+        if p.exact:
+            vals = (rational(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(n))
+        else:
+            vals = (rng.uniform(-1, 1) for _ in range(n))
+        return GridFn(lo, tuple(vals))
+
+    def partials(self, p, f):
+        pts, v = _sum_points(p), _v_fn(p, f)
+        uv = [(t, _u_of(p, f, t), v(t)) for t in pts]
+        return (GridFn(pts[0], tuple(self.LAG.d_u(*x) for x in uv)),
+                GridFn(pts[0], tuple(self.LAG.d_v(*x) for x in uv)))
+
+    PARAMS = pytest.mark.parametrize(
+        "case,N,anchor,exact",
+        [(c, N, anchor, exact) for c in CASES for N in (3, 8, 64)
+         for anchor in (0.0, 1 / 3) for exact in (False, True)],
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else ("exact" if v else "float") if isinstance(v, bool)
+        else f"{v:.3g}")
+
+    @PARAMS
+    def test_action(self, case, N, anchor, exact):
+        p = self.problem(*case, N, anchor, exact)
+        f = self.draw(p, N)
+        v = _v_fn(p, f)
+        want = sum(self.LAG.eval(t, _u_of(p, f, t), v(t))
+                   for t in _sum_points(p))
+        assert action(p, f) == want
+
+    @PARAMS
+    def test_first_variation(self, case, N, anchor, exact):
+        p = self.problem(*case, N, anchor, exact)
+        f, eta = self.draw(p, N), self.draw(p, N + 1)
+        l1, l2 = self.partials(p, f)
+        d_eta = _v_fn(p, eta)
+        want = None
+        for t in _sum_points(p):
+            term = _u_of(p, eta, t) * l1(t) + d_eta(t) * l2(t)
+            want = term if want is None else want + term
+        assert first_variation(p, f, eta) == want
+
+    @PARAMS
+    def test_el_residual(self, case, N, anchor, exact):
+        form, kind, _ = case
+        p = self.problem(*case, N, anchor, exact)
+        f = self.draw(p, N)
+        l1, l2 = self.partials(p, f)
+        alpha, b, pts = p.alpha, p.grid.b, _sum_points(p)
+        lam = None
+        if form is Formulation.RIEMANN_B:
+            if kind == "fixed":
+                lam = rational(5, 7) if exact else 5 / 7
+            l2x = GridFn(l2.lo, l2.values + (
+                l2.values[0] * 0 if lam is None else lam,))
+            cr = caputo_right(l2x, alpha, b + 1, truncate=True)
+            want = [l1(t) + cr(t) for t in pts]
+            cs = caputo_right(shift_sigma(l2x), alpha, b, truncate=True)
+            shifted, direct = el_residual_forms(p, f, l2_at_b=lam)
+            assert (shifted.lo, direct.lo) == (pts[0], pts[0])
+            assert shifted.values == tuple(l1(s) + cs(s - 1) for s in pts)
+            assert direct.values == tuple(want)
+        else:
+            rr = nabla_right_riemann(l2, alpha, b)
+            if form is Formulation.RIEMANN_A:
+                want = [l1(t) + rr(t) for t in pts]
+            else:
+                want = [l1(s + 1) + rr(s) for s in pts[:-1]]
+        got = el_residual(p, f, l2_at_b=lam)
+        assert got.lo == pts[0]
+        assert got.values == tuple(want)
