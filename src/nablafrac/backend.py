@@ -57,3 +57,10 @@ def format_scalar(x) -> str:
         return f"{x:.17g}"
     r = _rat(x)
     return f"{r.numerator}/{r.denominator}"
+
+
+def _integers(values):
+    """(X, L) with values[i] = X[i] / L: the integer numerators of exact
+    values over their common denominator L."""
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .backend import format_scalar, parse_scalar, rational
-from .grid import DomainError, Grid, GridFn, read_gridfn_csv, write_gridfn_csv
+from .grid import (DomainError, Grid, GridFn, _offset, read_gridfn_csv,
+                   write_gridfn_csv)
 from .identities import VERIFY_ALPHAS, VERIFY_SIZES, _UNIT_INTERVAL, run_trial
 from .numerics import FracOrder
 from .operators import (caputo_left, caputo_right, delta_left_riemann,
@@ -32,7 +33,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# operator name -> (callable(f, alpha, anchor), anchor side)
+# operator name -> (callable(f, alpha, anchor), anchor side).  The nabla
+# and Caputo outputs lie on the input's points and are published there; the
+# delta operators' points are s +- alpha by definition and keep the points
+# their anchor arithmetic gives.
 _OPERATORS = {
     "nabla-left-sum": (nabla_left_sum_fn, "a"),
     "nabla-right-sum": (nabla_right_sum_fn, "b"),
@@ -113,6 +117,8 @@ def _cmd_apply(args) -> int:
             out = out.restrict(anchor + 1, out.hi)
         elif args.operator == "nabla-right-sum":
             out = out.restrict(out.lo, anchor - 1)
+        if not args.operator.startswith("delta-"):
+            out = GridFn(f.lo + _offset(out.lo, f.lo), out.values)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
-from .backend import format_scalar, parse_scalar
+from .backend import _integers, format_scalar, parse_scalar, rational
 
 __all__ = ["DomainError", "Grid", "GridFn", "shift_rho", "shift_sigma",
-           "inner_sum", "read_gridfn_csv", "write_gridfn_csv"]
+           "dot", "inner_sum", "read_gridfn_csv", "write_gridfn_csv"]
 
 _FLOAT_SNAP = 1e-9
 
@@ -70,11 +70,6 @@ class GridFn:
         if not self.values:
             raise DomainError("grid function needs at least one point")
 
-    @classmethod
-    def from_callable(cls, lo, hi, fn: Callable) -> "GridFn":
-        n = _offset(hi, lo)
-        return cls(lo, tuple(fn(lo + k) for k in range(n + 1)))
-
     @property
     def hi(self):
         return self.lo + (len(self.values) - 1)
@@ -91,13 +86,6 @@ class GridFn:
             raise DomainError(
                 f"point {t} outside domain [{self.lo}, {self.hi}]")
         return self.values[k]
-
-    def defined_at(self, t) -> bool:
-        try:
-            k = _offset(t, self.lo)
-        except DomainError:
-            return False
-        return 0 <= k < len(self.values)
 
     def restrict(self, lo, hi) -> "GridFn":
         i, j = _offset(lo, self.lo), _offset(hi, self.lo)
@@ -126,12 +114,24 @@ def shift_sigma(f: GridFn) -> GridFn:
     return GridFn(f.lo - 1, f.values)
 
 
+def dot(xs, ys):
+    """Sum of xs[i] * ys[i] over two nonempty value sequences of one
+    backend.  Float products are added left to right.  Exact values are
+    scaled to integers over their common denominators L and M, so the sum
+    is one integer dot product and one rational, sum(X * Y) / (L M)."""
+    if isinstance(xs[0], float):
+        return sum(map(mul, xs, ys))
+    X, L = _integers(xs)
+    Y, M = _integers(ys)
+    return rational(sum(map(mul, X, Y)), L * M)
+
+
 def inner_sum(f: GridFn, g: GridFn, lo, hi):
-    """Sum of f(s) g(s) over grid points s in [lo, hi], added left to right;
-    0 if hi < lo."""
+    """Sum of f(s) g(s) over grid points s in [lo, hi], by `dot` (floats
+    added left to right, exact values added as integers); 0 if hi < lo."""
     if _offset(hi, lo) < 0:
         return 0
-    return sum(map(mul, f.restrict(lo, hi).values, g.restrict(lo, hi).values))
+    return dot(f.restrict(lo, hi).values, g.restrict(lo, hi).values)
 
 
 def write_gridfn_csv(f: GridFn, path) -> None:

@@ -6,6 +6,11 @@ operator layer and reports the signed residual lhs - (rhs + boundary_term).
 In the exact backend a valid implementation must produce the zero rational;
 the float policy is |residual| <= 1e-9 (1 + max(|lhs|, |rhs|)).
 
+The checks read operator outputs and inputs by offset slices (one
+`restrict` per operand), not point by point.  Sums of products go through
+`grid.dot`: floats are added left to right, exact values as one integer dot
+product over the operands' common denominators.
+
 The Riemann-Caputo check follows the identity's proof chain: the right
 Caputo factor is evaluated with the inner sum truncated at the function's
 domain end (f enters only through values on [a, b-1]), which is the reading
@@ -18,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .backend import format_scalar, is_exact
-from .grid import GridFn, _offset, inner_sum, shift_rho, shift_sigma
+from .grid import GridFn, _offset, dot, inner_sum, shift_rho, shift_sigma
 from .numerics import FracOrder, _order, _order_value, weights
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
                         nabla_left_sum_fn, nabla_right_riemann,
@@ -104,11 +109,11 @@ def check_delta_sum_by_parts(f: GridFn, g: GridFn, alpha, a, b,
        = sum f(s) (_{b-1}Delta^{-alpha} g)(s-alpha),
     both sides through the direct delta summation paths."""
     av = _order_value(alpha)
-    dls = delta_left_sum(f.restrict(a + 1, b - 1), av, a)
-    drs = delta_right_sum(g.restrict(a + 1, b - 1), av, b)
-    pts = [a + k for k in range(1, _offset(b, a))]
-    lhs = sum(g(s) * dls(s + av) for s in pts)
-    rhs = sum(f(s) * drs(s - av) for s in pts)
+    fi, gi = f.restrict(a + 1, b - 1), g.restrict(a + 1, b - 1)
+    dls = delta_left_sum(fi, av, a)
+    drs = delta_right_sum(gi, av, b)
+    lhs = dot(gi.values, dls.restrict(a + 1 + av, b - 1 + av).values)
+    rhs = dot(fi.values, drs.restrict(a + 1 - av, b - 1 - av).values)
     return _report("P23", lhs, rhs, lhs * 0, _digest(av, a, b, seed))
 
 
@@ -119,11 +124,11 @@ def check_delta_diff_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     alpha = _order(alpha)
     alpha.require_noninteger("delta difference by-parts")
     av = alpha.alpha
-    dlr = delta_left_riemann(g.restrict(a + 1, b - 1), alpha, a)
-    drr = delta_right_riemann(f.restrict(a + 1, b - 1), alpha, b)
-    pts = [a + k for k in range(1, _offset(b, a))]
-    lhs = sum(f(s) * dlr(s - av) for s in pts)
-    rhs = sum(g(s) * drr(s + av) for s in pts)
+    fi, gi = f.restrict(a + 1, b - 1), g.restrict(a + 1, b - 1)
+    dlr = delta_left_riemann(gi, alpha, a)
+    drr = delta_right_riemann(fi, alpha, b)
+    lhs = dot(fi.values, dlr.restrict(a + 1 - av, b - 1 - av).values)
+    rhs = dot(gi.values, drr.restrict(a + 1 + av, b - 1 + av).values)
     return _report("P24", lhs, rhs, lhs * 0, _digest(av, a, b, seed))
 
 
@@ -137,10 +142,10 @@ def check_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     cl = caputo_left(f.restrict(a, b - 1), alpha, a)
     rs = nabla_right_sum_fn(g.restrict(a, b - 1), 1 - av, b)
     rr = nabla_right_riemann(g.restrict(a, b - 1), alpha, b)
-    pts = [a + k for k in range(1, _offset(b, a))]
-    lhs = sum(g(s) * cl(s) for s in pts)
+    lhs = dot(g.restrict(a + 1, b - 1).values,
+              cl.restrict(a + 1, b - 1).values)
     boundary = f(b - 1) * rs(b - 1) - f(a) * rs(a)
-    rhs = sum(f(s - 1) * rr(s - 1) for s in pts)
+    rhs = dot(f.restrict(a, b - 2).values, rr.restrict(a, b - 2).values)
     return _report("T25", lhs, rhs, boundary, _digest(av, a, b, seed))
 
 
@@ -152,8 +157,9 @@ def check_riemann_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     for 0 < alpha < 1, Caputo factor read boundary-free via the proof chain
     (f enters only through [a, b-1]).
 
-    The reported residual is the largest-magnitude one among lhs against both
-    right-hand forms and the two forms against each other.
+    The two indexings of the right-hand sum pair the same (g, Caputo)
+    values in the same order, so the sum is formed once and the residual is
+    lhs - boundary - rhs.
     """
     alpha = _order(alpha)
     _require_unit_interval(alpha, "Riemann-Caputo by-parts")
@@ -161,14 +167,10 @@ def check_riemann_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     lr = nabla_left_riemann(g.restrict(a + 1, b - 1), alpha, a)
     ls = nabla_left_sum_fn(g.restrict(a + 1, b - 1), 1 - av, a)
     cr = caputo_right(f.restrict(a, b - 1), alpha, b, truncate=True)
-    pts = [a + k for k in range(1, _offset(b, a))]
-    lhs = sum(f(s - 1) * lr(s) for s in pts)
+    lhs = dot(f.restrict(a, b - 2).values, lr.restrict(a + 1, b - 1).values)
     boundary = f(b - 1) * ls(b - 1) - f(a) * ls(a)
-    rhs1 = sum(g(s + 1) * cr(s) for s in [a] + pts[:-1])
-    rhs2 = sum(g(s) * cr(s - 1) for s in pts)
-    residuals = [lhs - boundary - rhs1, lhs - boundary - rhs2, rhs1 - rhs2]
-    worst = max(residuals, key=abs)
-    return IdentityReport("T26", lhs, rhs1, boundary, worst,
+    rhs = dot(g.restrict(a + 1, b - 1).values, cr.restrict(a, b - 2).values)
+    return IdentityReport("T26", lhs, rhs, boundary, lhs - boundary - rhs,
                           _digest(av, a, b, seed))
 
 
@@ -176,7 +178,9 @@ def check_shift_properties(f: GridFn, alpha, a, b, seed=None):
     """The six rho/sigma shift identities, one report each (S1..S6).
 
     The residual of each report is the largest-magnitude pointwise difference
-    over the common domain; lhs/rhs are the two side values at that point.
+    over the common domain, at its first point of that magnitude (the first
+    point when every difference is 0); lhs/rhs are the two side values at
+    that point.  Only unequal values are subtracted.
     """
     alpha = _order(alpha)
     alpha.require_noninteger("shift properties (Riemann/Caputo items)")
@@ -187,15 +191,15 @@ def check_shift_properties(f: GridFn, alpha, a, b, seed=None):
     digest = _digest(av, a, b, seed)
 
     def cmp(ident, left, right, lo, hi, arg):
-        worst = None
-        for k in range(_offset(hi, lo) + 1):
-            t = lo + k
-            lv, rv = left(t), right(arg(t))
-            d = lv - rv
-            if worst is None or abs(d) > abs(worst[2]):
-                worst = (lv, rv, d)
-        return IdentityReport(ident, worst[0], worst[1], worst[2] * 0,
-                              worst[2], digest)
+        lvs = left.restrict(lo, hi).values
+        rvs = right.restrict(arg(lo), arg(hi)).values
+        i, d = 0, lvs[0] - rvs[0]
+        for k, (lv, rv) in enumerate(zip(lvs, rvs)):
+            if lv != rv:
+                e = lv - rv
+                if abs(e) > abs(d):
+                    i, d = k, e
+        return IdentityReport(ident, lvs[i], rvs[i], d * 0, d, digest)
 
     rho = lambda t: t - 1
     sigma = lambda t: t + 1

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .backend import floor, is_exact, is_integral, rational
+import numpy as np
+
+from .backend import _integers, floor, is_exact, is_integral, rational
 from .grid import DomainError, GridFn
 
 __all__ = ["FracOrder", "rising_factorial", "falling_factorial", "weights",
@@ -96,8 +98,9 @@ def falling_factorial(t, alpha):
 # Weight lists of the most recently used orders, oldest first.  One verify
 # lattice block uses 7 distinct orders and a solve a few; a float run that
 # draws a fresh order per request would otherwise keep every list it built.
-# A rational order's entry also holds the integer form of its list (see
-# _ExactWeights), rebuilt only when the list grows.
+# Each entry also holds the list in the form the convolutions read, rebuilt
+# only when the list grows: the integer form for a rational order (see
+# _ExactWeights), a float64 array for a float one (see _FloatWeights).
 _WEIGHT_CACHE_ORDERS = 8
 _weight_cache: dict = {}
 
@@ -115,11 +118,22 @@ class _ExactWeights(tuple):
         return self
 
 
+class _FloatWeights(tuple):
+    """w_0..w_K of a float order, carrying them as `array`: a read-only
+    float64 view of the first K + 1 entries of the cached list's array."""
+
+    def __new__(cls, w, array):
+        self = super().__new__(cls, w)
+        self.array = array
+        return self
+
+
 def weights(beta, K: int):
     """w_0..w_K with w_k = Gamma(k + beta)/(Gamma(beta) k!).
 
     Exact for rational beta, and then an _ExactWeights that also carries
-    the integer form.  The recurrence also extends to beta <= 0, which the
+    the integer form; a _FloatWeights, carrying a float64 array, for float
+    beta.  The recurrence also extends to beta <= 0, which the
     eta-shift decomposition relies on.
     """
     if K < 0:
@@ -141,17 +155,13 @@ def weights(beta, K: int):
             k = len(w)
             w.append(w[k - 1] * (k + beta - 1) / k)
     if isinstance(beta, float):
-        return tuple(w[:K + 1])
+        if entry[1] is None:
+            entry[1] = np.array(w)
+            entry[1].flags.writeable = False
+        return _FloatWeights(w[:K + 1], entry[1][:K + 1])
     if entry[1] is None:
         entry[1] = _integers(w)
     return _ExactWeights(w[:K + 1], *entry[1])
-
-
-def _integers(values):
-    """(X, L) with values[i] = X[i] / L: the integer numerators of exact
-    values over their common denominator L."""
-    L = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def _differences(values, n: int, negate: bool) -> tuple:

@@ -24,10 +24,9 @@ from operator import mul
 
 import numpy as np
 
-from .backend import rational
+from .backend import _integers, rational
 from .grid import DomainError, GridFn, _offset
-from .numerics import (_differences, _integers, _order, minus_delta_n,
-                       nabla_n, weights)
+from .numerics import _differences, _order, minus_delta_n, nabla_n, weights
 
 __all__ = [
     "nabla_left_sum", "nabla_right_sum",
@@ -103,12 +102,14 @@ def _float_left_conv(x, w):
 def _left_conv(values, w):
     """out[m] = sum_{k=0}^{m} w[k] values[m-k].
 
+    Float values are convolved with the float64 array that float `weights`
+    carry (any other w, such as the weights of an exact order, as given).
     Exact values need w from `weights`: with w[k] = W_k / D and values
     scaled to integers X_i over their common denominator L, row m is the
     rational (sum_k W_k X_{m-k}) / (D L).
     """
     if _is_float_values(values):
-        out = _float_left_conv(np.asarray(values), np.asarray(w))
+        out = _float_left_conv(np.asarray(values), getattr(w, "array", w))
         return tuple(out.tolist())
     x, L = _integers(values)
     x.reverse()

@@ -65,6 +65,31 @@ class TestApply:
         write_gridfn_csv(again, back)
         assert dst.read_text() == back.read_text()
 
+    # the CSV writes 0.1 as 0.10000000000000001, and -0.9 + 1 is
+    # 0.099999999999999978: the nabla and Caputo outputs are published on
+    # the input's points, not on the anchor's arithmetic
+    @pytest.mark.parametrize("op,flag,anchor", [
+        ("nabla-left-sum", "--a", "-0.9"),
+        ("nabla-left-riemann", "--a", "-0.9"),
+        ("caputo-left", "--a", "0.1"),
+        ("nabla-right-sum", "--b", "8.1"),
+        ("nabla-right-riemann", "--b", "8.1"),
+        ("caputo-right", "--b", "7.1"),
+    ])
+    def test_float_anchor_keeps_input_points(self, tmp_path, op, flag,
+                                             anchor):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_gridfn_csv(GridFn(0.1, tuple(float(k * k - 5)
+                                           for k in range(8))), src)
+        t_in = [row.split(",")[0] for row in src.read_text().splitlines()[1:]]
+        assert t_in[0] == "0.10000000000000001"
+        code = main(["apply", op, "--alpha", "1/2", flag, anchor,
+                     "--input", str(src), "--output", str(dst)])
+        assert code == 0
+        t_out = [row.split(",")[0] for row in dst.read_text().splitlines()[1:]]
+        i = t_in.index(t_out[0])
+        assert t_out == t_in[i:i + len(t_out)]
+
     def test_malformed_input_exit_2(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("garbage\n")

@@ -1,11 +1,12 @@
 import random
+from operator import mul
 
 import pytest
 
 from nablafrac.backend import format_scalar, rational
-from nablafrac.grid import (DomainError, Grid, GridFn, _offset, inner_sum,
-                            read_gridfn_csv, shift_rho, shift_sigma,
-                            write_gridfn_csv)
+from nablafrac.grid import (DomainError, Grid, GridFn, _offset, dot,
+                            inner_sum, read_gridfn_csv, shift_rho,
+                            shift_sigma, write_gridfn_csv)
 
 
 class TestGrid:
@@ -66,12 +67,6 @@ class TestGridFn:
         with pytest.raises(DomainError):
             f(0.5)
 
-    def test_defined_at(self):
-        f = GridFn(0, (1, 2))
-        assert f.defined_at(1)
-        assert not f.defined_at(2)
-        assert not f.defined_at(rational("1/2"))
-
     def test_restrict(self):
         f = GridFn(0, (1, 2, 3, 4))
         r = f.restrict(1, 2)
@@ -83,10 +78,6 @@ class TestGridFn:
         f = GridFn(2, (5, 6))
         p = f.pad_zeros(0, 4)
         assert p.lo == 0 and p.values == (0, 0, 5, 6, 0)
-
-    def test_from_callable(self):
-        f = GridFn.from_callable(1, 3, lambda t: t * t)
-        assert f.values == (1, 4, 9)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -140,6 +131,33 @@ class TestInnerSum:
     def test_empty_range_is_zero(self):
         f = GridFn(0, (1, 2, 3))
         assert inner_sum(f, f, 2, 1) == 0
+
+
+class TestDot:
+    """dot adds float products left to right, bit for bit, and exact
+    values as one integer dot product equal to the sum of the products."""
+
+    def test_exact_equals_sum_of_products(self):
+        rng = random.Random(8)
+        for n in (1, 2, 17, 60):
+            xs = tuple(rational(rng.randint(-99, 99), rng.randint(1, 30))
+                       for _ in range(n))
+            ys = tuple(rational(rng.randint(-99, 99), rng.randint(1, 30))
+                       for _ in range(n))
+            got = dot(xs, ys)
+            assert got == sum(map(mul, xs, ys))
+            assert type(got) is type(xs[0])
+
+    def test_float_bit_identical(self):
+        rng = random.Random(9)
+        for n in (1, 2, 17, 300):
+            xs = tuple(rng.uniform(-1e3, 1e3) for _ in range(n))
+            ys = tuple(rng.uniform(-1e-3, 1e3) for _ in range(n))
+            assert dot(xs, ys).hex() == sum(map(mul, xs, ys)).hex()
+
+    def test_ints_in_value_out(self):
+        assert dot((1, -2, 3), (4, 5, -6)) == -24
+        assert dot((7,), (0,)) == 0
 
 
 class TestCsv:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,18 @@ class TestWeights:
         assert (False, rat("2/7")) not in numerics._weight_cache
         assert weights(0.123456789, 40) == first_float
         assert weights(rat("2/7"), 12) == first_exact
+
+    def test_float_weights_carry_their_array(self):
+        beta = 0.3141
+        short = weights(beta, 3)
+        longer = weights(beta, 50)      # grows the cached list
+        again = weights(beta, 3)
+        for w in (short, longer, again):
+            assert w.array.dtype == np.float64
+            assert w.array.tolist() == list(w)
+            assert not w.array.flags.writeable
+        assert again == short == tuple(short)
+        assert again.array.base is longer.array.base
 
 
 class TestNablaRisingPower:
