@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .backend import format_scalar, parse_scalar, rational
-from .grid import (DomainError, Grid, GridFn, _offset, read_gridfn_csv,
+from .grid import (DomainError, Grid, _offset, read_gridfn_csv,
                    write_gridfn_csv)
 from .identities import VERIFY_ALPHAS, VERIFY_SIZES, _UNIT_INTERVAL, run_trial
 from .numerics import FracOrder
@@ -34,9 +34,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # operator name -> (callable(f, alpha, anchor), anchor side).  The nabla
-# and Caputo outputs lie on the input's points and are published there; the
-# delta operators' points are s +- alpha by definition and keep the points
-# their anchor arithmetic gives.
+# and Caputo outputs lie on the input's points and are published there, as
+# f.lo + (i + k) for the output's row k starting i points into the input
+# ((f.lo + i) + k can round to another float); the delta operators' points
+# are s +- alpha by definition and keep the points their anchor arithmetic
+# gives.
 _OPERATORS = {
     "nabla-left-sum": (nabla_left_sum_fn, "a"),
     "nabla-right-sum": (nabla_right_sum_fn, "b"),
@@ -117,12 +119,14 @@ def _cmd_apply(args) -> int:
             out = out.restrict(anchor + 1, out.hi)
         elif args.operator == "nabla-right-sum":
             out = out.restrict(out.lo, anchor - 1)
+        points = None
         if not args.operator.startswith("delta-"):
-            out = GridFn(f.lo + _offset(out.lo, f.lo), out.values)
+            i = _offset(out.lo, f.lo)
+            points = (f.lo + (i + k) for k in range(len(out)))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    write_gridfn_csv(out, args.output)
+    write_gridfn_csv(out, args.output, points)
     return EXIT_OK
 
 

@@ -134,10 +134,12 @@ def inner_sum(f: GridFn, g: GridFn, lo, hi):
     return dot(f.restrict(lo, hi).values, g.restrict(lo, hi).values)
 
 
-def write_gridfn_csv(f: GridFn, path) -> None:
+def write_gridfn_csv(f: GridFn, path, points=None) -> None:
+    """Write f as "t,value" rows.  The t column is f.points() unless
+    points, the same points formed another way, is given."""
     with open(path, "w") as out:
         out.write("t,value\n")
-        for t, v in zip(f.points(), f.values):
+        for t, v in zip(f.points() if points is None else points, f.values):
             out.write(f"{format_scalar(t)},{format_scalar(v)}\n")
 
 

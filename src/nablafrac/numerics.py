@@ -100,7 +100,9 @@ def falling_factorial(t, alpha):
 # draws a fresh order per request would otherwise keep every list it built.
 # Each entry also holds the list in the form the convolutions read, rebuilt
 # only when the list grows: the integer form for a rational order (see
-# _ExactWeights), a float64 array for a float one (see _FloatWeights).
+# _ExactWeights), a float64 array for a float one (see _FloatWeights).  It
+# keeps the last tuple it returned too, so repeated calls for one K (one per
+# operator call on same-length inputs) share it instead of copying w[:K + 1].
 _WEIGHT_CACHE_ORDERS = 8
 _weight_cache: dict = {}
 
@@ -144,24 +146,30 @@ def weights(beta, K: int):
     key = (isinstance(beta, float), beta)
     entry = _weight_cache.pop(key, None)
     if entry is None:
-        entry = [[beta * 0 + 1], None]
+        entry = [[beta * 0 + 1], None, None]
         if len(_weight_cache) >= _WEIGHT_CACHE_ORDERS:
             del _weight_cache[next(iter(_weight_cache))]
     _weight_cache[key] = entry
     w = entry[0]
     if len(w) <= K:
-        entry[1] = None
+        entry[1:] = None, None
         while len(w) <= K:
             k = len(w)
             w.append(w[k - 1] * (k + beta - 1) / k)
+    out = entry[2]
+    if out is not None and len(out) == K + 1:
+        return out
     if isinstance(beta, float):
         if entry[1] is None:
             entry[1] = np.array(w)
             entry[1].flags.writeable = False
-        return _FloatWeights(w[:K + 1], entry[1][:K + 1])
-    if entry[1] is None:
-        entry[1] = _integers(w)
-    return _ExactWeights(w[:K + 1], *entry[1])
+        out = _FloatWeights(w[:K + 1], entry[1][:K + 1])
+    else:
+        if entry[1] is None:
+            entry[1] = _integers(w)
+        out = _ExactWeights(w[:K + 1], *entry[1])
+    entry[2] = out
+    return out
 
 
 def _differences(values, n: int, negate: bool) -> tuple:

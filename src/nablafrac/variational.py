@@ -19,14 +19,21 @@ Jacobian come from one set of lower-triangular Toeplitz maps built straight
 from the weights (_assembly).  The GridFn Euler-Lagrange residual
 (el_residual) and the gradient oracle, which recomputes the derivatives by
 direct differencing of J, are independent references that never touch
-those maps; they read values by offset slices, not point by point.
+those maps; they read values by offset slices, not point by point.  The
+oracle reads f's slot values once and probes the operators once per free
+coordinate u, with the basis function e_u: the slots are linear in f, so
+those of a bumped f are f's plus a multiple of e_u's.  Terms of J before
+the first point e_u's slots reach are the same on every side of the
+difference stencil and cancel exactly, so only the later terms are
+evaluated.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import compress, count, repeat
+from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -186,24 +193,23 @@ def _v_fn(p: VariationalProblem, f: GridFn) -> GridFn:
 
 
 def _slots(p: VariationalProblem, f: GridFn):
-    """(ts, us, vs): the sum points t = a+1 .. b-1 and the u and v slot
-    values there, read by offset slices of f on f_domain()."""
+    """(us, vs): the u and v slot values at the sum points (_sum_points),
+    read by offset slices of f on f_domain()."""
     f = f.restrict(*p.f_domain())
-    ts = _sum_points(p)
     if p.formulation is Formulation.CAPUTO:
         us = f.values[:-1]                     # u(t) = f(t - 1)
     else:
-        us = f.values[-len(ts):]
-    return ts, us, _v_fn(p, f).values
+        us = f.values[1 - p.grid.N:]
+    return us, _v_fn(p, f).values
 
 
 def action(p: VariationalProblem, f: GridFn):
     """J(f) = sum over t = a+1 .. b-1 of L(t, u(t), v(t))."""
-    return sum(map(p.lagrangian.eval, *_slots(p, f)))
+    return sum(map(p.lagrangian.eval, _sum_points(p), *_slots(p, f)))
 
 
 def _l1_l2(p: VariationalProblem, f: GridFn):
-    ts, us, vs = _slots(p, f)
+    ts, (us, vs) = _sum_points(p), _slots(p, f)
     lag = p.lagrangian
     return (GridFn(ts[0], tuple(map(lag.d_u, ts, us, vs))),
             GridFn(ts[0], tuple(map(lag.d_v, ts, us, vs))))
@@ -213,7 +219,7 @@ def first_variation(p: VariationalProblem, f: GridFn, eta: GridFn):
     """Directional derivative of J at f along eta:
     sum of eta-slot * L_1 + (D^alpha eta) * L_2 over t = a+1 .. b-1."""
     l1, l2 = _l1_l2(p, f)
-    _, us, vs = _slots(p, eta)
+    us, vs = _slots(p, eta)
     return reduce(add, (u * x + v * y for u, x, v, y
                         in zip(us, l1.values, vs, l2.values)))
 
@@ -294,33 +300,52 @@ def el_residual(p: VariationalProblem, f: GridFn,
     return _plus(l1, rr, 1)
 
 
+def _stencil_terms(lag, ts, us, vs, eu, ev, s):
+    """L at the points ts and the slot values us + s eu, vs + s ev."""
+    s = repeat(s)
+    return map(lag, ts, map(add, us, map(mul, eu, s)),
+               map(add, vs, map(mul, ev, s)))
+
+
 def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     """dJ/df(u) on the free coordinates, by direct differencing of the
     action.
 
-    Float backend: central differences with step 1e-6 (1 + |f(u)|).  Exact
-    backend: the five-point first-derivative stencil with unit steps, which
-    differentiates polynomial Lagrangians of degree <= 5 exactly.
+    Float backend: central differences with step h = 1e-6 (1 + |f(u)|),
+    (J(f + h e_u) - J(f - h e_u)) / 2h.  Exact backend: the five-point
+    first-derivative stencil with unit steps, which differentiates
+    polynomial Lagrangians of degree <= 5 exactly.
+
+    Both slots are linear in f, so f's slot values us, vs are read once and
+    each free coordinate is probed once, with its basis function e_u: the
+    slots of f + s e_u are us + s eu and vs + s ev.  A term of J before the
+    first sum point where eu or ev is nonzero takes the same arguments at
+    every step of the stencil, so its difference is exactly 0 in either
+    backend; only the later terms are evaluated.  Exact values are thus
+    equal to differencing all of J; float values sum the terms'
+    differences, L(+h) - L(-h), which changes only their last bits.
     """
     lo, hi = p.f_domain()
     f = f.restrict(lo, hi)
+    ts, (us, vs) = _sum_points(p), _slots(p, f)
+    lag = p.lagrangian.eval
+    zero = f.values[0] * 0
     free = p._free()
-
-    def bumped(i, step):
-        vals = list(f.values)
-        vals[i] += step
-        return GridFn(lo, tuple(vals))
-
     out = []
     for i in free:
+        e = [zero] * len(f)
+        e[i] = zero + 1                        # the basis function e_u
+        eu, ev = _slots(p, GridFn(lo, tuple(e)))
+        j = min(next(compress(count(), eu), len(ts)),
+                next(compress(count(), ev), len(ts)))
+        tail = (ts[j:], us[j:], vs[j:], eu[j:], ev[j:])
         if p.exact:
-            one = f.values[0] * 0 + 1
-            pm = [action(p, bumped(i, one * s)) for s in (-2, -1, 1, 2)]
+            pm = [sum(_stencil_terms(lag, *tail, s)) for s in (-2, -1, 1, 2)]
             out.append((pm[0] - 8 * pm[1] + 8 * pm[2] - pm[3]) / 12)
         else:
             h = 1e-6 * (1 + abs(f.values[i]))
-            out.append((action(p, bumped(i, h)) - action(p, bumped(i, -h)))
-                       / (2 * h))
+            out.append(sum(map(sub, _stencil_terms(lag, *tail, h),
+                               _stencil_terms(lag, *tail, -h))) / (2 * h))
     return GridFn(lo + free[0], tuple(out))
 
 

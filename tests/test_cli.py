@@ -66,24 +66,39 @@ class TestApply:
         assert dst.read_text() == back.read_text()
 
     # the CSV writes 0.1 as 0.10000000000000001, and -0.9 + 1 is
-    # 0.099999999999999978: the nabla and Caputo outputs are published on
-    # the input's points, not on the anchor's arithmetic
-    @pytest.mark.parametrize("op,flag,anchor", [
-        ("nabla-left-sum", "--a", "-0.9"),
-        ("nabla-left-riemann", "--a", "-0.9"),
-        ("caputo-left", "--a", "0.1"),
-        ("nabla-right-sum", "--b", "8.1"),
-        ("nabla-right-riemann", "--b", "8.1"),
-        ("caputo-right", "--b", "7.1"),
-    ])
+    # 0.099999999999999978; it writes 1/3 as 0.33333333333333331, and
+    # (1/3 + 1) + 1 is 2.333333333333333 where 1/3 + 2 is
+    # 2.3333333333333335: the nabla and Caputo outputs are published on the
+    # input's points, not on the anchor's arithmetic
+    INPUT_POINT_CASES = [
+        ("nabla-left-sum", "--a", "-0.9", "0.10000000000000001", "1/2"),
+        ("nabla-left-riemann", "--a", "-0.9", "0.10000000000000001", "1/2"),
+        ("caputo-left", "--a", "0.1", "0.10000000000000001", "1/2"),
+        ("nabla-right-sum", "--b", "8.1", "0.10000000000000001", "1/2"),
+        ("nabla-right-riemann", "--b", "8.1", "0.10000000000000001", "1/2"),
+        ("caputo-right", "--b", "7.1", "0.10000000000000001", "1/2"),
+        ("nabla-left-sum", "--a", "0.33333333333333331",
+         "0.33333333333333331", "1/2"),
+        ("nabla-left-riemann", "--a", "0.33333333333333331",
+         "0.33333333333333331", "1/2"),
+        ("caputo-left", "--a", "0.33333333333333331",
+         "0.33333333333333331", "1/2"),
+        ("caputo-left", "--a", "0.33333333333333331",
+         "0.33333333333333331", "3/2"),
+    ]
+
+    @pytest.mark.parametrize(
+        "op,flag,anchor,lo,alpha", INPUT_POINT_CASES,
+        ids=[f"{op}-{flag}-{anchor}" + ("" if alpha == "1/2" else f"-{alpha}")
+             for op, flag, anchor, _, alpha in INPUT_POINT_CASES])
     def test_float_anchor_keeps_input_points(self, tmp_path, op, flag,
-                                             anchor):
+                                             anchor, lo, alpha):
         src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
-        write_gridfn_csv(GridFn(0.1, tuple(float(k * k - 5)
-                                           for k in range(8))), src)
+        write_gridfn_csv(GridFn(float(lo), tuple(float(k * k - 5)
+                                                 for k in range(8))), src)
         t_in = [row.split(",")[0] for row in src.read_text().splitlines()[1:]]
-        assert t_in[0] == "0.10000000000000001"
-        code = main(["apply", op, "--alpha", "1/2", flag, anchor,
+        assert t_in[0] == lo
+        code = main(["apply", op, "--alpha", alpha, flag, anchor,
                      "--input", str(src), "--output", str(dst)])
         assert code == 0
         t_out = [row.split(",")[0] for row in dst.read_text().splitlines()[1:]]

@@ -138,6 +138,19 @@ class TestWeights:
         assert again == short == tuple(short)
         assert again.array.base is longer.array.base
 
+    @pytest.mark.parametrize("beta", [0.2718, rat("3/11")],
+                             ids=["float", "exact"])
+    def test_repeated_count_shares_the_tuple(self, beta):
+        first = weights(beta, 20)
+        assert weights(beta, 20) is first
+        shorter = weights(beta, 5)
+        assert shorter == first[:6]
+        assert weights(beta, 5) is shorter
+        longer = weights(beta, 40)          # grows the cached list
+        again = weights(beta, 20)
+        assert again == first and again is not first
+        assert weights(beta, 40)[:21] == again == longer[:21]
+
 
 class TestNablaRisingPower:
     @given(p=st.integers(1, 9), q=st.integers(2, 9), t=st.integers(2, 12))

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from nablafrac.backend import rational
 from nablafrac.grid import DomainError, Grid, GridFn, shift_sigma
 from nablafrac.identities import FLOAT_TOLERANCE
+from nablafrac import variational
 from nablafrac.numerics import FracOrder
 from nablafrac.operators import (caputo_right, nabla_left_riemann,
                                  nabla_left_sum, nabla_left_sum_fn,
@@ -429,13 +431,13 @@ class TestAssembly:
                      d_vv=lambda t, u, v: u * 0 + 1)
 
     @classmethod
-    def problem(cls, form, kind, alpha, N, anchor):
+    def problem(cls, form, kind, alpha, N, anchor, lag=None):
         bnd = Boundary(kind)
         if kind == "fixed":
             bnd = Boundary("fixed", A=0.8,
                            B=-0.3 if form is Formulation.CAPUTO else None)
         return VariationalProblem(Grid(anchor, anchor + N), FracOrder(alpha),
-                                  form, bnd, cls.LAG)
+                                  form, bnd, lag or cls.LAG)
 
     @staticmethod
     def probe(op, lo, hi):
@@ -554,9 +556,9 @@ class TestPointwiseReference:
     LAG = TestAssembly.LAG
 
     @classmethod
-    def problem(cls, form, kind, alpha, N, anchor, exact):
+    def problem(cls, form, kind, alpha, N, anchor, exact, lag=None):
         if not exact:
-            return TestAssembly.problem(form, kind, alpha, N, anchor)
+            return TestAssembly.problem(form, kind, alpha, N, anchor, lag)
         cv = lambda x: rational(round(10 * x), 10)
         a = rational(round(3 * anchor), 3)
         bnd = Boundary(kind)
@@ -564,7 +566,7 @@ class TestPointwiseReference:
             bnd = Boundary("fixed", A=cv(0.8),
                            B=cv(-0.3) if form is Formulation.CAPUTO else None)
         return VariationalProblem(Grid(a, a + N), FracOrder(cv(alpha)), form,
-                                  bnd, cls.LAG, exact=True)
+                                  bnd, lag or cls.LAG, exact=True)
 
     @staticmethod
     def draw(p, seed):
@@ -642,3 +644,101 @@ class TestPointwiseReference:
         got = el_residual(p, f, l2_at_b=lam)
         assert got.lo == pts[0]
         assert got.values == tuple(want)
+
+
+def reference_oracle(p, f):
+    """The gradient oracle by whole actions: 2 per free coordinate (float)
+    or 4 (exact), each through `action` on f with that coordinate bumped."""
+    lo, hi = p.f_domain()
+    f = f.restrict(lo, hi)
+    free = p._free()
+
+    def bumped(i, step):
+        vals = list(f.values)
+        vals[i] += step
+        return GridFn(lo, tuple(vals))
+
+    out = []
+    for i in free:
+        if p.exact:
+            one = f.values[0] * 0 + 1
+            pm = [action(p, bumped(i, one * s)) for s in (-2, -1, 1, 2)]
+            out.append((pm[0] - 8 * pm[1] + 8 * pm[2] - pm[3]) / 12)
+        else:
+            h = 1e-6 * (1 + abs(f.values[i]))
+            out.append((action(p, bumped(i, h)) - action(p, bumped(i, -h)))
+                       / (2 * h))
+    return GridFn(lo + free[0], tuple(out))
+
+
+class TestOracleReference:
+    """gradient_oracle probes each free coordinate once and differences only
+    the terms its bump reaches; it must give what differencing whole actions
+    gives: exactly (==) in the rational backend, within 1e-6 (1 + |g|) in
+    floats."""
+
+    CASES = TestAssembly.CASES
+    LAGS = {
+        "quadratic": lambda exact: Lagrangian.quadratic_potential(
+            rational(13, 10) if exact else 1.3),
+        "quartic": lambda exact: Lagrangian.quartic_potential(),
+        "mixed": lambda exact: TestAssembly.LAG,
+    }
+
+    @classmethod
+    def problem(cls, case, N, anchor, exact, lag="mixed"):
+        return TestPointwiseReference.problem(*case, N, anchor, exact,
+                                              cls.LAGS[lag](exact))
+
+    @pytest.mark.parametrize(
+        "case,N,anchor,exact,lag",
+        list(product(CASES, (3, 8, 64), (0.0, 1 / 3), (False, True), LAGS)),
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else ("exact" if v else "float") if isinstance(v, bool)
+        else v if isinstance(v, str) else f"{v:.3g}")
+    def test_matches_whole_action_differences(self, case, N, anchor, exact,
+                                              lag):
+        p = self.problem(case, N, anchor, exact, lag)
+        f = TestPointwiseReference.draw(p, N)
+        got, want = gradient_oracle(p, f), reference_oracle(p, f)
+        assert got.lo == want.lo and len(got) == len(want)
+        if exact:
+            assert got.values == want.values
+        else:
+            for g, w in zip(got.values, want.values):
+                assert abs(g - w) <= 1e-6 * (1 + abs(w))
+
+    @pytest.mark.parametrize("exact", [False, True],
+                             ids=["float", "exact"])
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0].value}-"
+                             f"{c[1]}-{c[2]}")
+    def test_one_operator_probe_per_free_coordinate(self, monkeypatch, case,
+                                                    exact):
+        p = self.problem(case, 8, 1 / 3, exact)
+        f = TestPointwiseReference.draw(p, 8)
+        calls = []
+
+        def counted(p, f):
+            calls.append(f)
+            return v_fn(p, f)
+
+        v_fn = variational._v_fn
+        monkeypatch.setattr(variational, "_v_fn", counted)
+        gradient_oracle(p, f)
+        assert len(calls) == len(p._free()) + 1
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0].value}-"
+                             f"{c[1]}-{c[2]}")
+    def test_never_reads_the_newton_maps(self, monkeypatch, case):
+        p = self.problem(case, 8, 0.0, False)
+        f = TestPointwiseReference.draw(p, 8)
+        want = reference_oracle(p, f)
+
+        def forbidden(*args):
+            raise AssertionError("the oracle read the Newton maps")
+
+        monkeypatch.setattr(variational, "_assembly", forbidden)
+        monkeypatch.setattr(variational, "_toeplitz", forbidden)
+        got = gradient_oracle(p, f)
+        for g, w in zip(got.values, want.values):
+            assert abs(g - w) <= 1e-6 * (1 + abs(w))
