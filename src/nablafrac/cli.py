@@ -165,8 +165,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _load_problem(path, alpha_text=None):
-    with open(path) as src:
+def _load_problem(args, alpha_text=None):
+    """(problem, tol, max_iter) from the config at args.input; alpha_text,
+    --tol and --max-iter override the config's values when given."""
+    with open(args.input) as src:
         cfg = json.load(src)
     alpha = FracOrder.parse(alpha_text or str(cfg["alpha"]), exact=False)
     a = parse_scalar(str(cfg["a"]), exact=False)
@@ -186,7 +188,9 @@ def _load_problem(path, alpha_text=None):
     else:
         raise ValueError(f"unknown lagrangian {lc['name']!r}")
     problem = VariationalProblem(Grid(a, b), alpha, form, bnd, lag)
-    return problem, float(cfg.get("tol", 1e-10)), int(cfg.get("max_iter", 50))
+    tol, max_iter = float(cfg.get("tol", 1e-10)), int(cfg.get("max_iter", 50))
+    return (problem, tol if args.tol is None else args.tol,
+            max_iter if args.max_iter is None else args.max_iter)
 
 
 def _sidecar(sol: Solution) -> dict:
@@ -198,14 +202,10 @@ def _sidecar(sol: Solution) -> dict:
 
 def _cmd_solve(args) -> int:
     try:
-        problem, tol, max_iter = _load_problem(args.input)
+        problem, tol, max_iter = _load_problem(args)
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.tol is not None:
-        tol = args.tol
-    if args.max_iter is not None:
-        max_iter = args.max_iter
     sol = solve(problem, tol=tol, max_iter=max_iter)
     write_gridfn_csv(sol.f, args.output)
     with open(Path(args.output).with_suffix(".json"), "w") as out:
@@ -235,19 +235,15 @@ def _cmd_sweep(args) -> int:
     rows = []
     for text in alphas:
         try:
-            problem, tol, max_iter = _load_problem(args.input, text)
+            problem, tol, max_iter = _load_problem(args, text)
         except (OSError, KeyError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if args.tol is not None:
-            tol = args.tol
-        if args.max_iter is not None:
-            max_iter = args.max_iter
         sol = solve(problem, tol=tol, max_iter=max_iter)
         if not sol.converged:
             any_failed = True
-        for t in sol.f.points():
-            rows.append((text, t, sol.f(t), sol.max_el_residual,
+        for t, y in zip(sol.f.points(), sol.f.values):
+            rows.append((text, t, y, sol.max_el_residual,
                          sol.gradient_norm, sol.converged))
     with open(args.output, "w") as out:
         out.write("alpha,t,y,max_el_residual,gradient_norm,converged\n")

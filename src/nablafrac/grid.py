@@ -94,15 +94,6 @@ class GridFn:
                 f"[{lo}, {hi}] is not a sub-domain of [{self.lo}, {self.hi}]")
         return GridFn(lo, self.values[i:j + 1])
 
-    def pad_zeros(self, lo, hi) -> "GridFn":
-        """Extend by explicit zeros to cover [lo, hi] (used only where an
-        operation documents an empty-sum convention)."""
-        zero = self.values[0] * 0
-        i, j = _offset(lo, self.lo), _offset(hi, self.lo)
-        left = tuple(zero for _ in range(max(0, -i)))
-        right = tuple(zero for _ in range(max(0, j - (len(self.values) - 1))))
-        return GridFn(self.lo - len(left), left + self.values + right)
-
 
 def shift_rho(f: GridFn) -> GridFn:
     """t -> f(t - 1) on [lo + 1, hi + 1]."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .backend import format_scalar, is_exact
 from .grid import GridFn, _offset, dot, inner_sum, shift_rho, shift_sigma
-from .numerics import FracOrder, _order, _order_value, weights
+from .numerics import FracOrder, _order, _order_value
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
                         nabla_left_sum_fn, nabla_right_riemann,
                         nabla_right_sum_fn, delta_left_sum, delta_right_sum,

@@ -135,8 +135,8 @@ def weights(beta, K: int):
 
     Exact for rational beta, and then an _ExactWeights that also carries
     the integer form; a _FloatWeights, carrying a float64 array, for float
-    beta.  The recurrence also extends to beta <= 0, which the
-    eta-shift decomposition relies on.
+    beta.  The recurrence also extends to beta <= 0, which the Riemann
+    differences (w(-alpha)) and the eta-shift decomposition rely on.
     """
     if K < 0:
         raise DomainError(f"weight count must be nonnegative, got {K}")

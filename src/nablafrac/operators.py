@@ -1,8 +1,9 @@
 """Fractional sum and difference operators.
 
 Nabla operators follow the left/right fractional sum kernels
-w_k(alpha) = Gamma(k + alpha)/(Gamma(alpha) k!); Riemann differences are
-integer differences of complementary-order sums, Caputo differences are
+w_k(alpha) = Gamma(k + alpha)/(Gamma(alpha) k!).  A Riemann difference, the
+integer difference of the complementary-order sum, is one convolution with
+w(-alpha), equal to that composition; Caputo differences are
 complementary-order sums of integer differences.  Delta operators live on
 grids shifted by +-alpha and are tied to the nabla ones by exact dual
 identities.
@@ -24,9 +25,9 @@ from operator import mul
 
 import numpy as np
 
-from .backend import _integers, rational
+from .backend import _integers, is_exact, rational
 from .grid import DomainError, GridFn, _offset
-from .numerics import _differences, _order, minus_delta_n, nabla_n, weights
+from .numerics import _order, minus_delta_n, nabla_n, weights
 
 __all__ = [
     "nabla_left_sum", "nabla_right_sum",
@@ -37,10 +38,6 @@ __all__ = [
     "delta_left_riemann", "delta_right_riemann",
     "operator_matrix",
 ]
-
-
-def _is_float_values(values) -> bool:
-    return isinstance(values[0], float)
 
 
 # Longest float convolution computed directly by np.convolve, O(n^2), and the
@@ -56,13 +53,19 @@ def _is_float_values(values) -> bool:
 # history x[lo:mid] reaches rows [mid, lo + size) through one FFT product, and
 # each half recurses down to np.convolve on blocks of 512.  That FFT adds about
 # eps log(size) |x[lo:mid]|_2 |w[:size]|_2 to each row it feeds, so a row's
-# error depends only on the inputs it sums.  With nonnegative weights (every
-# order the operators use) and inputs that do not shrink, growing ones
-# included, this stays near the direct sum's eps sum_k |w_k x_{m-k}|; it can
-# exceed it where a row cancels far below the inputs that feed it (negative
-# orders on smooth inputs, or a large input that decays).  One FFT over the
-# whole input would add eps |x|_2 |w|_2 to every row, which breaks the float
-# policy on the early rows of 1e5 points.
+# error depends only on the inputs it sums; it can exceed the direct sum's
+# eps sum_k |w_k x_{m-k}| where a row cancels far below the inputs that feed
+# it.  Riemann differences convolve with w(-alpha), which has negative
+# entries.  Largest error of nabla_left_riemann over all rows, as a
+# multiple of the float policy bound, against a long-double direct sum at
+# N = 2e4, t = k/N for k = 0..N-1:
+#     uniform(0, 1), alpha 0.02: 4.0e-6      ones, alpha 1.5: 1.5e-6
+#     exp(50 t), alpha 1.5: 5.0e-3           1e10 exp(-50 t), alpha 0.02: 0.04
+#     1e10 exp(-50 t), alpha 1.98: 2.6e3 (fails the policy)
+# (differencing the complementary-order sum instead gave 5.4e-3, 1.7e-4,
+# 0.21, 39 and 3.3e3).  One FFT over the whole input would add
+# eps |x|_2 |w|_2 to every row, which breaks the float policy on the early
+# rows of 1e5 points.
 # Non-finite inputs stay on np.convolve, where an inf reaches only the rows
 # after it rather than a whole FFT block.
 _DIRECT_MAX_LEN = 512
@@ -108,7 +111,7 @@ def _left_conv(values, w):
     scaled to integers X_i over their common denominator L, row m is the
     rational (sum_k W_k X_{m-k}) / (D L).
     """
-    if _is_float_values(values):
+    if not is_exact(values[0]):
         out = _float_left_conv(np.asarray(values), getattr(w, "array", w))
         return tuple(out.tolist())
     x, L = _integers(values)
@@ -127,17 +130,32 @@ def _right_conv(values, w):
 
 # -- fractional sums ---------------------------------------------------------
 
-def nabla_left_sum_fn(f: GridFn, beta, a) -> GridFn:
-    """t -> (nabla_a^{-beta} f)(t) on [a, f.hi], with value 0 at a."""
-    beta = _order(beta).alpha
+def _left_body(f: GridFn, beta, a) -> tuple:
+    """Values of sum_{s=a+1}^{t} w_{t-s}(beta) f(s) for t in [a+1, f.hi]."""
     if _offset(f.lo, a) > 1:
         raise DomainError(f"left sum anchored at {a} needs f from {a + 1}, "
                           f"f starts at {f.lo}")
     body = f.restrict(a + 1, f.hi)
-    w = weights(beta, len(body) - 1)
-    vals = _left_conv(body.values, w)
-    zero = vals[0] * 0
-    return GridFn(a, (zero,) + vals)
+    return _left_conv(body.values, weights(beta, len(body) - 1))
+
+
+def _right_body(f: GridFn, beta, b, truncate: bool = False) -> tuple:
+    """Values of sum_{s=t}^{b-1} w_{s-t}(beta) f(s) for t from f.lo up to
+    b - 1, or up to f.hi with truncate=True when f ends before b - 1."""
+    nb = _offset(b, f.lo)
+    if nb > len(f) and not truncate:
+        raise DomainError(f"right sum anchored at {b} needs f up to {b - 1}, "
+                          f"f ends at {f.hi}")
+    if nb < 1:
+        raise DomainError(f"right sum anchored at {b} starts past f's domain")
+    m = min(nb, len(f))       # b is point nb of f; the sum reads f[:m]
+    return _right_conv(f.values[:m], weights(beta, m - 1))
+
+
+def nabla_left_sum_fn(f: GridFn, beta, a) -> GridFn:
+    """t -> (nabla_a^{-beta} f)(t) on [a, f.hi], with value 0 at a."""
+    vals = _left_body(f, _order(beta).alpha, a)
+    return GridFn(a, (vals[0] * 0,) + vals)
 
 
 def nabla_right_sum_fn(f: GridFn, beta, b, truncate: bool = False) -> GridFn:
@@ -147,17 +165,9 @@ def nabla_right_sum_fn(f: GridFn, beta, b, truncate: bool = False) -> GridFn:
     sum is treated as zero (the boundary-free reading used by the
     Riemann-Caputo by-parts chain and the variational assembly).
     """
-    beta = _order(beta).alpha
-    nb = _offset(b, f.lo)
-    if nb > len(f) and not truncate:
-        raise DomainError(f"right sum anchored at {b} needs f up to {b - 1}, "
-                          f"f ends at {f.hi}")
-    if nb < 1:
-        raise DomainError(f"right sum anchored at {b} starts past f's domain")
-    m = min(nb, len(f))       # b is point nb of f; the sum reads f[:m]
-    vals = _right_conv(f.values[:m], weights(beta, m - 1))
-    zero = vals[0] * 0
-    return GridFn(f.lo, vals + (zero,) * (nb - m + 1))
+    vals = _right_body(f, _order(beta).alpha, b, truncate)
+    zeros = _offset(b, f.lo) - len(vals) + 1
+    return GridFn(f.lo, vals + (vals[0] * 0,) * zeros)
 
 
 def nabla_left_sum(f: GridFn, alpha, a, t):
@@ -181,24 +191,21 @@ def nabla_right_sum(f: GridFn, alpha, b, t):
 
 
 # -- Riemann fractional differences ------------------------------------------
+#
+# nabla^n has the weights w(-n), and w(-n) * w(n - alpha) = w(-alpha) (the
+# Chu-Vandermonde identity), so nabla^n of the zero-extended complementary
+# sum is one convolution with w(-alpha); likewise (-1)^n Delta^n of the right
+# sum.
 
 def nabla_left_riemann(f: GridFn, alpha, a) -> GridFn:
     """(nabla_a^alpha f) = nabla^n nabla_a^{-(n-alpha)} f on [a+1, f.hi]."""
-    alpha = _order(alpha)
-    n = alpha.n
-    inner = nabla_left_sum_fn(f, n - alpha.alpha, a)
-    inner = inner.pad_zeros(a + 1 - n, inner.hi)
-    return nabla_n(inner, n)
+    return GridFn(a + 1, _left_body(f, -_order(alpha).alpha, a))
 
 
 def nabla_right_riemann(f: GridFn, alpha, b) -> GridFn:
     """(_b nabla^alpha f) = (-1)^n Delta^n _b nabla^{-(n-alpha)} f on
     [f.lo, b-1]."""
-    alpha = _order(alpha)
-    n = alpha.n
-    inner = nabla_right_sum_fn(f, n - alpha.alpha, b)
-    inner = inner.pad_zeros(inner.lo, b - 1 + n)
-    return minus_delta_n(inner, n)
+    return GridFn(f.lo, _right_body(f, -_order(alpha).alpha, b))
 
 
 # -- Caputo fractional differences -------------------------------------------
@@ -240,22 +247,14 @@ def delta_left_sum(f: GridFn, alpha, a) -> GridFn:
     """s+alpha -> (Delta_{a+1}^{-alpha} f)(s+alpha), anchored at a+1+alpha:
     (Delta_c^{-alpha} f)(c+alpha+m) = sum_{k<=m} w_k(alpha) f(c+m-k), c = a+1."""
     av = _order(alpha).alpha
-    if _offset(f.lo, a) > 1:
-        raise DomainError(f"delta left sum needs f from {a + 1}, starts {f.lo}")
-    body = f.restrict(a + 1, f.hi)
-    w = weights(av, len(body) - 1)
-    return GridFn(a + 1 + av, _left_conv(body.values, w))
+    return GridFn(a + 1 + av, _left_body(f, av, a))
 
 
 def delta_right_sum(g: GridFn, alpha, b) -> GridFn:
     """s-alpha -> (_{b-1}Delta^{-alpha} g)(s-alpha), equal to
     (_b nabla^{-alpha} g)(s) under the dual shift."""
     av = _order(alpha).alpha
-    if _offset(b, g.hi) > 1:
-        raise DomainError(f"delta right sum needs g up to {b - 1}, ends {g.hi}")
-    body = g.restrict(g.lo, b - 1)
-    w = weights(av, len(body) - 1)
-    return GridFn(g.lo - av, _right_conv(body.values, w))
+    return GridFn(g.lo - av, _right_body(g, av, b))
 
 
 def delta_left_riemann(g: GridFn, alpha, a) -> GridFn:
@@ -263,12 +262,8 @@ def delta_left_riemann(g: GridFn, alpha, a) -> GridFn:
     delta left sum; equals (nabla_a^alpha g)(s) under the dual shift."""
     alpha = _order(alpha)
     alpha.require_noninteger("delta left Riemann difference")
-    n = alpha.n
     av = alpha.alpha
-    inner = delta_left_sum(g, n - av, a)
-    inner = inner.pad_zeros(inner.lo - n, inner.hi)
-    out = GridFn(inner.lo, _differences(inner.values, n, False))
-    return out.restrict(a + 1 - av, out.hi)
+    return GridFn(a + 1 - av, _left_body(g, -av, a))
 
 
 def delta_right_riemann(f: GridFn, alpha, b) -> GridFn:

@@ -255,6 +255,27 @@ class TestSweep:
                      str(tmp_path / "t.csv"), "--alpha-list", " , "])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_flags_override_config(self, tmp_path, command):
+        # --tol and --max-iter give the bytes of a config holding the same
+        # values
+        quartic = dict(formulation="riemann_a",
+                       boundary={"kind": "fixed", "A": 1.0},
+                       lagrangian={"name": "quartic_potential"})
+        extra = ["--alpha-list", "1/2,3/4"] if command == "sweep" else []
+        outputs = []
+        for name, cfg, flags in (
+                ("flags", {}, ["--tol", "1e-4", "--max-iter", "3"]),
+                ("config", {"tol": 1e-4, "max_iter": 3}, [])):
+            cfgp = tmp_path / f"{name}.json"
+            problem_config(cfgp, **quartic, **cfg)
+            out = tmp_path / f"{name}.csv"
+            code = main([command, "--input", str(cfgp), "--output", str(out),
+                         *extra, *flags])
+            outputs.append((code, out.read_text()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 1
+
 
 class TestUsage:
     def test_unknown_subcommand_exit_2(self):

@@ -74,11 +74,6 @@ class TestGridFn:
         with pytest.raises(DomainError):
             f.restrict(-1, 2)
 
-    def test_pad_zeros(self):
-        f = GridFn(2, (5, 6))
-        p = f.pad_zeros(0, 4)
-        assert p.lo == 0 and p.values == (0, 0, 5, 6, 0)
-
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             GridFn(0, ())

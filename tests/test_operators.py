@@ -1,3 +1,4 @@
+import decimal
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from nablafrac import numerics, operators
 from nablafrac.backend import format_scalar, rational
 from nablafrac.grid import DomainError, GridFn
 from nablafrac.identities import FLOAT_TOLERANCE
-from nablafrac.numerics import FracOrder, weights
+from nablafrac.numerics import FracOrder, minus_delta_n, nabla_n, weights
 from nablafrac.operators import (caputo_left, caputo_right,
                                  delta_left_riemann, delta_left_sum,
                                  delta_right_riemann, delta_right_sum,
@@ -132,6 +133,56 @@ class TestRiemann:
         r = nabla_left_riemann(s, rat("2/5"), 0)
         for t in range(1, 9):
             assert r(t) == f(t)
+
+
+def zero_pad(f, left, right):
+    """f extended by `left` zeros before it and `right` zeros after it."""
+    zero = f.values[0] * 0
+    return GridFn(f.lo - left, (zero,) * left + f.values + (zero,) * right)
+
+
+# The Riemann differences as defined: an integer difference of the
+# zero-extended complementary-order sum.  The operators compute each as one
+# convolution with w(-alpha) and must agree with these.
+
+def composed_left_riemann(f, alpha, a):
+    n = alpha.n
+    inner = nabla_left_sum_fn(f, n - alpha.alpha, a)
+    return nabla_n(zero_pad(inner, n - 1, 0), n)
+
+
+def composed_right_riemann(f, alpha, b):
+    n = alpha.n
+    inner = nabla_right_sum_fn(f, n - alpha.alpha, b)
+    return minus_delta_n(zero_pad(inner, 0, n - 1), n)
+
+
+def composed_delta_left_riemann(g, alpha, a):
+    n, av = alpha.n, alpha.alpha
+    inner = delta_left_sum(g, n - av, a)
+    return GridFn(a + 1 - av, nabla_n(zero_pad(inner, n, 0), n).values)
+
+
+COMPOSED = [(nabla_left_riemann, composed_left_riemann, "a"),
+            (nabla_right_riemann, composed_right_riemann, "b"),
+            (delta_left_riemann, composed_delta_left_riemann, "a")]
+
+
+class TestRiemannIsOneConvolution:
+    @pytest.mark.parametrize("alpha_text",
+                             ["1/3", "1/2", "5/4", "3/2", "5/2", "7/3"])
+    @pytest.mark.parametrize("a_text", ["0", "1/3", "-7/2"])
+    def test_equals_composition_exactly(self, alpha_text, a_text):
+        alpha, a = FracOrder(rat(alpha_text)), rat(a_text)
+        rng = random.Random(f"{alpha_text}:{a_text}")
+        for length in range(1, 41):
+            f = GridFn(a + 1, tuple(rational(rng.randint(-9, 9),
+                                             rng.randint(1, 6))
+                                    for _ in range(length)))
+            b = f.hi + 1
+            for op, composed, side in COMPOSED:
+                anchor = a if side == "a" else b
+                assert op(f, alpha, anchor) == composed(f, alpha, anchor)
 
 
 class TestCaputo:
@@ -354,3 +405,42 @@ class TestFloatOutputsArePythonFloats:
         out = op(f, FracOrder(alpha), anchor)
         assert len(out) >= n - 2
         assert all(type(v) is float for v in out.values)
+
+
+class TestRiemannFloat:
+    """Float Riemann differences convolve with w(-alpha) directly rather
+    than differencing the complementary sum."""
+
+    @pytest.mark.parametrize("n", [513, 4097])
+    @pytest.mark.parametrize("a", [0.0, 0.1])
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 1.5, 1.98, 2.5])
+    def test_within_policy_of_composition(self, alpha, a, n):
+        rng = np.random.default_rng(n)
+        f = GridFn(a + 1, tuple(rng.uniform(-1, 1, n).tolist()))
+        alpha = FracOrder(alpha)
+        for op, composed, side in COMPOSED:
+            anchor = a if side == "a" else f.hi + 1
+            got, want = op(f, alpha, anchor), composed(f, alpha, anchor)
+            assert len(got) == len(want) == n
+            assert got.lo - want.lo == pytest.approx(0, abs=1e-12)
+            assert_float_policy(got.values, want.values)
+
+    def test_long_horizon_decaying_input(self):
+        # 1e10 exp(-50 k / N): the output changes sign near row 2137, where
+        # it is far below the early inputs every row sums.  Differencing the
+        # complementary sum, of size ~1e12, misses the policy there by ~39x.
+        N, alpha = 20_000, 0.02
+        x = 1e10 * np.exp(-50 * np.arange(N) / N)
+        got = nabla_left_riemann(GridFn(1, tuple(x.tolist())),
+                                 FracOrder(alpha), 0).values
+        rows = [*range(0, N, N // 64), *range(2100, 2180), N - 1]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            beta = -decimal.Decimal(alpha)
+            w = [decimal.Decimal(1)]
+            for k in range(1, N):
+                w.append(w[-1] * (k + beta - 1) / k)
+            xd = [decimal.Decimal(v) for v in x.tolist()]
+            want = [float(sum(w[k] * xd[m - k] for k in range(m + 1)))
+                    for m in rows]
+        assert_float_policy([got[m] for m in rows], want)
