@@ -113,8 +113,9 @@ def _cmd_apply(args) -> int:
         return EXIT_USAGE
     try:
         out = op(f, alpha, anchor)
-        # the sum routines carry their zero-valued anchor point for internal
-        # composition; the published domains exclude it
+        # the sum routines carry the empty sum, 0 at the anchor, which the
+        # identity checks read (T26 at a, S4 at b); the published domains
+        # exclude it
         if args.operator == "nabla-left-sum":
             out = out.restrict(anchor + 1, out.hi)
         elif args.operator == "nabla-right-sum":

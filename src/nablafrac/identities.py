@@ -49,7 +49,6 @@ class IdentityReport:
     rhs: object
     boundary_term: object
     residual: object
-    inputs_digest: str
 
     @property
     def passed(self) -> bool:
@@ -63,23 +62,17 @@ class IdentityReport:
         if alpha is not None:
             rec.update(alpha=format_scalar(alpha), a=format_scalar(a),
                        b=format_scalar(b), seed=seed)
-        rec.update(residual=format_scalar(self.residual), pass_=self.passed)
-        rec["pass"] = rec.pop("pass_")
+        rec["residual"] = format_scalar(self.residual)
+        rec["pass"] = self.passed
         return json.dumps(rec)
 
 
-def _digest(alpha, a, b, seed):
-    return f"seed={seed} a={format_scalar(a)} b={format_scalar(b)} " \
-           f"alpha={format_scalar(alpha)}"
-
-
-def _report(identity_id, lhs, rhs, boundary, digest) -> IdentityReport:
+def _report(identity_id, lhs, rhs, boundary) -> IdentityReport:
     return IdentityReport(identity_id, lhs, rhs, boundary,
-                          lhs - rhs - boundary, digest)
+                          lhs - rhs - boundary)
 
 
-def check_sum_by_parts(f: GridFn, g: GridFn, alpha, a, b,
-                       seed=None) -> IdentityReport:
+def check_sum_by_parts(f: GridFn, g: GridFn, alpha, a, b) -> IdentityReport:
     """sum g (nabla_a^{-alpha} f) = sum f (_b nabla^{-alpha} g) over
     s = a+1 .. b-1; no boundary term."""
     av = _order_value(alpha)
@@ -87,11 +80,11 @@ def check_sum_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     right = nabla_right_sum_fn(g, av, b)
     lhs = inner_sum(g, left, a + 1, b - 1)
     rhs = inner_sum(f, right, a + 1, b - 1)
-    return _report("P21", lhs, rhs, lhs * 0, _digest(av, a, b, seed))
+    return _report("P21", lhs, rhs, lhs * 0)
 
 
-def check_riemann_by_parts(f: GridFn, g: GridFn, alpha, a, b,
-                           seed=None) -> IdentityReport:
+def check_riemann_by_parts(f: GridFn, g: GridFn,
+                           alpha, a, b) -> IdentityReport:
     """sum f (nabla_a^alpha g) = sum g (_b nabla^alpha f), non-integer
     alpha > 0."""
     alpha = _order(alpha)
@@ -100,11 +93,11 @@ def check_riemann_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     right = nabla_right_riemann(f.restrict(a + 1, b - 1), alpha, b)
     lhs = inner_sum(f, left, a + 1, b - 1)
     rhs = inner_sum(g, right, a + 1, b - 1)
-    return _report("P22", lhs, rhs, lhs * 0, _digest(alpha.alpha, a, b, seed))
+    return _report("P22", lhs, rhs, lhs * 0)
 
 
-def check_delta_sum_by_parts(f: GridFn, g: GridFn, alpha, a, b,
-                             seed=None) -> IdentityReport:
+def check_delta_sum_by_parts(f: GridFn, g: GridFn,
+                             alpha, a, b) -> IdentityReport:
     """sum g(s) (Delta_{a+1}^{-alpha} f)(s+alpha)
        = sum f(s) (_{b-1}Delta^{-alpha} g)(s-alpha),
     both sides through the direct delta summation paths."""
@@ -114,11 +107,11 @@ def check_delta_sum_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     drs = delta_right_sum(gi, av, b)
     lhs = dot(gi.values, dls.restrict(a + 1 + av, b - 1 + av).values)
     rhs = dot(fi.values, drs.restrict(a + 1 - av, b - 1 - av).values)
-    return _report("P23", lhs, rhs, lhs * 0, _digest(av, a, b, seed))
+    return _report("P23", lhs, rhs, lhs * 0)
 
 
-def check_delta_diff_by_parts(f: GridFn, g: GridFn, alpha, a, b,
-                              seed=None) -> IdentityReport:
+def check_delta_diff_by_parts(f: GridFn, g: GridFn,
+                              alpha, a, b) -> IdentityReport:
     """sum f(s) (Delta_{a+1}^alpha g)(s-alpha)
        = sum g(s) (_{b-1}Delta^alpha f)(s+alpha), non-integer alpha."""
     alpha = _order(alpha)
@@ -129,11 +122,10 @@ def check_delta_diff_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     drr = delta_right_riemann(fi, alpha, b)
     lhs = dot(fi.values, dlr.restrict(a + 1 - av, b - 1 - av).values)
     rhs = dot(gi.values, drr.restrict(a + 1 + av, b - 1 + av).values)
-    return _report("P24", lhs, rhs, lhs * 0, _digest(av, a, b, seed))
+    return _report("P24", lhs, rhs, lhs * 0)
 
 
-def check_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b,
-                          seed=None) -> IdentityReport:
+def check_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b) -> IdentityReport:
     """sum g (C-nabla_a^alpha f) = [f _b nabla^{-(1-alpha)} g]_a^{b-1}
        + sum f(s-1) (_b nabla^alpha g)(s-1), for 0 < alpha < 1."""
     alpha = _order(alpha)
@@ -146,11 +138,11 @@ def check_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b,
               cl.restrict(a + 1, b - 1).values)
     boundary = f(b - 1) * rs(b - 1) - f(a) * rs(a)
     rhs = dot(f.restrict(a, b - 2).values, rr.restrict(a, b - 2).values)
-    return _report("T25", lhs, rhs, boundary, _digest(av, a, b, seed))
+    return _report("T25", lhs, rhs, boundary)
 
 
-def check_riemann_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b,
-                                  seed=None) -> IdentityReport:
+def check_riemann_caputo_by_parts(f: GridFn, g: GridFn,
+                                  alpha, a, b) -> IdentityReport:
     """sum f(s-1) (nabla_a^alpha g)(s) = [f nabla_a^{-(1-alpha)} g]_a^{b-1}
        + sum_{s=a}^{b-2} g(s+1) (C_b-nabla^alpha f)(s)
        (= the same sum reindexed as sum_{s=a+1}^{b-1} g(s) (...)(s-1)),
@@ -170,11 +162,10 @@ def check_riemann_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b,
     lhs = dot(f.restrict(a, b - 2).values, lr.restrict(a + 1, b - 1).values)
     boundary = f(b - 1) * ls(b - 1) - f(a) * ls(a)
     rhs = dot(g.restrict(a + 1, b - 1).values, cr.restrict(a, b - 2).values)
-    return IdentityReport("T26", lhs, rhs, boundary, lhs - boundary - rhs,
-                          _digest(av, a, b, seed))
+    return IdentityReport("T26", lhs, rhs, boundary, lhs - boundary - rhs)
 
 
-def check_shift_properties(f: GridFn, alpha, a, b, seed=None):
+def check_shift_properties(f: GridFn, alpha, a, b):
     """The six rho/sigma shift identities, one report each (S1..S6).
 
     The residual of each report is the largest-magnitude pointwise difference
@@ -188,7 +179,6 @@ def check_shift_properties(f: GridFn, alpha, a, b, seed=None):
     n = alpha.n
     fr = shift_rho(f)      # on [a+1, b+1]
     fs = shift_sigma(f)    # on [a-1, b-1]
-    digest = _digest(av, a, b, seed)
 
     def cmp(ident, left, right, lo, hi, arg):
         lvs = left.restrict(lo, hi).values
@@ -199,7 +189,7 @@ def check_shift_properties(f: GridFn, alpha, a, b, seed=None):
                 e = lv - rv
                 if abs(e) > abs(d):
                     i, d = k, e
-        return IdentityReport(ident, lvs[i], rvs[i], d * 0, d, digest)
+        return IdentityReport(ident, lvs[i], rvs[i], d * 0, d)
 
     rho = lambda t: t - 1
     sigma = lambda t: t + 1
@@ -252,9 +242,9 @@ def run_trial(identity_id: str, alpha, a, b, seed: int, exact: bool,
                         f"{_offset(b, a)}:{seed}")
     f = random_gridfn(rng, a, b, exact, make)
     if identity_id == "SHIFT":
-        return check_shift_properties(f, alpha, a, b, seed)
+        return check_shift_properties(f, alpha, a, b)
     g = random_gridfn(rng, a, b, exact, make)
-    return [_CHECKS[identity_id](f, g, alpha, a, b, seed)]
+    return [_CHECKS[identity_id](f, g, alpha, a, b)]
 
 
 def _require_unit_interval(alpha: FracOrder, what: str) -> None:

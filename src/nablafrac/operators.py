@@ -8,9 +8,9 @@ complementary-order sums of integer differences.  Delta operators live on
 grids shifted by +-alpha and are tied to the nabla ones by exact dual
 identities.
 
-Empty-sum convention: a left sum is 0 at its anchor a (and at points before a
-where an outer integer difference reaches them); mirrored for right sums at b.
-This is the only place a value outside a function's domain is read as zero.
+Empty-sum convention: a left sum is 0 at its anchor a; mirrored for right
+sums at b.  Apart from the truncated right sums (truncate=True), this is the
+only place a value outside a function's domain is read as zero.
 
 Every operator reduces to one causal convolution with the weights.  Float
 convolutions longer than _DIRECT_MAX_LEN = 512 points take blocked FFTs in
@@ -106,13 +106,14 @@ def _left_conv(values, w):
     """out[m] = sum_{k=0}^{m} w[k] values[m-k].
 
     Float values are convolved with the float64 array that float `weights`
-    carry (any other w, such as the weights of an exact order, as given).
-    Exact values need w from `weights`: with w[k] = W_k / D and values
-    scaled to integers X_i over their common denominator L, row m is the
-    rational (sum_k W_k X_{m-k}) / (D L).
+    carry, or with any other w (such as the weights of an exact order)
+    converted to float64.  Exact values need w from `weights`: with
+    w[k] = W_k / D and values scaled to integers X_i over their common
+    denominator L, row m is the rational (sum_k W_k X_{m-k}) / (D L).
     """
     if not is_exact(values[0]):
-        out = _float_left_conv(np.asarray(values), getattr(w, "array", w))
+        w = np.asarray(getattr(w, "array", w), dtype=float)
+        out = _float_left_conv(np.asarray(values), w)
         return tuple(out.tolist())
     x, L = _integers(values)
     x.reverse()

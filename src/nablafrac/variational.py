@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import DomainError, Grid, GridFn, _offset, shift_sigma
-from .numerics import FracOrder, weights
+from .numerics import FracOrder, _order, weights
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
                         nabla_right_riemann)
 
@@ -232,7 +232,7 @@ def eta_shift_decomposition(eta: GridFn, alpha, a, t):
     (t-a+1)^{rising(-alpha-1)} / Gamma(-alpha); the two parts sum to the
     a-1 anchored difference exactly.
     """
-    alpha = alpha if isinstance(alpha, FracOrder) else FracOrder(alpha)
+    alpha = _order(alpha)
     alpha.require_noninteger("eta-shift decomposition")
     k = _offset(t, a)
     if k < 1:
@@ -390,60 +390,56 @@ def _toeplitz(w, n: int) -> np.ndarray:
                     0.0)
 
 
-def _times_minus_delta(M: np.ndarray) -> np.ndarray:
-    """M (-Delta), where -Delta maps g on n + 1 points to g(t) - g(t + 1) on
-    the first n: column j is M[:, j] - M[:, j - 1]."""
-    return np.diff(M, axis=1, prepend=0.0, append=0.0)
-
-
 def _assembly(p: VariationalProblem):
     """The constant maps of the Newton system, built from the weights.
 
     The slot maps U, V take the unknowns x to u, v at the points ts, with
     offsets cu, cv from the boundary values.  With L_1, L_2 the Lagrangian
     partials at (ts, u, v), the residual is Q L_2 plus L_1 from ts[k] on in
-    its first rows.  With T(w) the lower-triangular Toeplitz matrix of w:
+    its first rows.  Every V and Q is a slice of one lower-triangular
+    Toeplitz matrix W = T(w(-alpha)) on the N points [a, b-1]; w(1-alpha)
+    enters only as boundary vectors.  A difference of a w(1-alpha) sum is
+    a w(-alpha) convolution, since w(-1) * w(1-alpha) = w(-alpha)
+    (Chu-Vandermonde), so these maps are the operators' compositions
+    exactly, and in floats they never difference two sums:
 
-      RIEMANN_A : V = T(w(-alpha))[1:], Q = T(w(-alpha))^T, on [a+1, b-1];
-      RIEMANN_B : V = T(w(-alpha)), Q = T(w(1-alpha))^T (-Delta) on L_2
-                  extended to t = b by the multiplier x[-1], whose column
-                  c is set only in the fixed case: there the residual adds
-                  x[-1] c and the constraint row -c f - A, with
-                  -c = T(w(1-alpha))[-1];
-      CAPUTO    : V = T(w(1-alpha)) nabla, Q = T(w(-alpha))^T less its last
-                  row, k = 1.  In the natural case ts starts at a, where
-                  u = f(a) and v = 0 stand in, so that the natural rows are
-                  T(w(1-alpha))^T[[0, -1]] L_2.
+      RIEMANN_A : V = W[1:], Q = W^T[1:, 1:], on [a+1, b-1];
+      RIEMANN_B : V = W[1:, 1:], Q = W[1:, 1:]^T on L_2 extended to t = b
+                  by the multiplier x[-1], whose column c is set only in
+                  the fixed case: there the residual adds x[-1] c and the
+                  constraint row -c f - A, with c = -reversed(w(1-alpha)[:m]);
+      CAPUTO    : V = W with row 0 zeroed and column 0 (the point f(a))
+                  below it -w(1-alpha), Q = W^T[1:-1], k = 1.  In the natural
+                  case ts starts at a, where u = f(a) and v = 0 stand in, so
+                  that the natural rows are w(1-alpha) and e_{N-1} on L_2.
     """
     form, bnd, N = p.formulation, p.boundary, p.grid.N
     m = N - 1                                  # sum points a+1 .. b-1
     al = p.alpha.alpha
     ts, k, c = _sum_points(p), 0, None
-    if form is Formulation.RIEMANN_B:
-        T1 = _toeplitz(weights(1 - al, m - 1), m)
-        Mu, Mv = np.eye(m), _toeplitz(weights(-al, m - 1), m)
-        Qx = _times_minus_delta(T1.T)          # last column: L_2(b)
-        Q = Qx[:, :m]
-        if bnd.kind == "fixed":
-            c = Qx[:, m]
-            Q = np.vstack([Q, np.zeros(m)])    # the constraint row
+    W = _toeplitz(weights(-al, m), N)
+    if form is Formulation.RIEMANN_A:
+        Mu, Mv, Q = np.eye(m, N, 1), W[1:], W.T[1:, 1:]
     else:
-        W = _toeplitz(weights(-al, m), N)
-        if form is Formulation.RIEMANN_A:
-            Mu, Mv, Q = np.eye(m, N, 1), W[1:], W.T[1:, 1:]
+        w1 = np.array(weights(1 - al, m), dtype=float)
+        if form is Formulation.RIEMANN_B:
+            Mu, Mv, Q = np.eye(m), W[1:, 1:], W.T[1:, 1:]
+            if bnd.kind == "fixed":
+                c = -w1[m - 1::-1]             # L_2(b)'s column
+                Q = np.vstack([Q, np.zeros(m)])    # the constraint row
         else:
             if N < 3:
                 raise DomainError("CAPUTO residual needs b - a >= 3")
-            T1 = _toeplitz(weights(1 - al, m), N)
             Mu = np.eye(N, N, -1)
             Mu[0, 0] = 1.0
-            Mv = np.zeros((N, N))
-            Mv[1:] = -_times_minus_delta(T1[1:, 1:])
+            Mv = W.copy()
+            Mv[0] = 0.0
+            Mv[1:, 0] = -w1[:m]
             # rows s = a+1 .. b-2 pair L_1(s+1) with the operator at s
             Q = W.T[1:-1]
             if bnd.kind == "natural":
                 ts, k = [p.grid.a] + ts, 2
-                Q = np.vstack([Q, T1.T[[0, -1]]])
+                Q = np.vstack([Q, w1, np.eye(1, N, m)])
             else:
                 # t = a enters only the natural rows
                 Mu, Mv, Q, k = Mu[1:], Mv[1:], Q[:, 1:], 1
@@ -510,8 +506,9 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     """
     if p.exact:
         raise DomainError("solve runs in the float backend")
-    constrained = (p.formulation is Formulation.RIEMANN_B
-                   and p.boundary.kind == "fixed")
+    assembly = _assembly(p)
+    *_, c = assembly
+    constrained = c is not None
     free = p.free_points()
     m = len(free) + (1 if constrained else 0)
     if initial is None:
@@ -520,7 +517,6 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
         x = np.array([float(v) for v in
                       initial.restrict(free[0], free[-1]).values] +
                      ([0.0] if constrained else []))
-    assembly = _assembly(p)
     r = _residual(p, x, assembly)
     iterations = 0
     converged = bool(np.max(np.abs(r)) <= tol)
@@ -551,7 +547,7 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     grad = gradient_oracle(p, f)
     gvals = np.array(grad.values, dtype=float)
     if constrained:
-        gvals = gvals + lam * assembly[-1]     # the constraint row is -c
+        gvals = gvals + lam * c                # the constraint row is -c
     return Solution(f=f, el_residual=el,
                     gradient_norm=float(np.max(np.abs(gvals))),
                     iterations=iterations, converged=converged,

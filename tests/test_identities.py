@@ -9,8 +9,8 @@ from nablafrac import identities
 from nablafrac.backend import rational
 from nablafrac.grid import GridFn, _offset, shift_rho, shift_sigma
 from nablafrac.identities import (FLOAT_TOLERANCE, VERIFY_ALPHAS,
-                                  VERIFY_SIZES, IdentityReport, _digest,
-                                  _report, check_caputo_by_parts,
+                                  VERIFY_SIZES, IdentityReport, _report,
+                                  check_caputo_by_parts,
                                   check_riemann_caputo_by_parts,
                                   check_shift_properties, check_sum_by_parts,
                                   random_gridfn, run_trial)
@@ -160,14 +160,14 @@ class TestProperties:
 
 class TestReport:
     def test_float_tolerance_policy(self):
-        good = IdentityReport("P21", 1e6, 1e6, 0.0, 9e-4, "d")
+        good = IdentityReport("P21", 1e6, 1e6, 0.0, 9e-4)
         assert good.passed  # scaled by 1 + max(|lhs|, |rhs|)
-        bad = IdentityReport("P21", 1.0, 1.0, 0.0, 1e-8, "d")
+        bad = IdentityReport("P21", 1.0, 1.0, 0.0, 1e-8)
         assert not bad.passed
 
     def test_json_fields(self):
         rep = IdentityReport("T25", rational(1), rational(1), rational(0),
-                             rational(0), "d")
+                             rational(0))
         rec = json.loads(rep.to_json(rational("1/2"), rational(0),
                                      rational(8), 7))
         assert rec == {"identity_id": "T25", "alpha": "1/2", "a": "0/1",
@@ -198,17 +198,17 @@ def pointwise_inner_sum(f, g, lo, hi):
     return sum(f(lo + k) * g(lo + k) for k in range(_offset(hi, lo) + 1))
 
 
-def pointwise_p23(f, g, alpha, a, b, seed=None):
+def pointwise_p23(f, g, alpha, a, b):
     av = _order_value(alpha)
     dls = delta_left_sum(f.restrict(a + 1, b - 1), av, a)
     drs = delta_right_sum(g.restrict(a + 1, b - 1), av, b)
     pts = [a + k for k in range(1, _offset(b, a))]
     lhs = sum(g(s) * dls(s + av) for s in pts)
     rhs = sum(f(s) * drs(s - av) for s in pts)
-    return _report("P23", lhs, rhs, lhs * 0, _digest(av, a, b, seed))
+    return _report("P23", lhs, rhs, lhs * 0)
 
 
-def pointwise_p24(f, g, alpha, a, b, seed=None):
+def pointwise_p24(f, g, alpha, a, b):
     alpha = _order(alpha)
     av = alpha.alpha
     dlr = delta_left_riemann(g.restrict(a + 1, b - 1), alpha, a)
@@ -216,10 +216,10 @@ def pointwise_p24(f, g, alpha, a, b, seed=None):
     pts = [a + k for k in range(1, _offset(b, a))]
     lhs = sum(f(s) * dlr(s - av) for s in pts)
     rhs = sum(g(s) * drr(s + av) for s in pts)
-    return _report("P24", lhs, rhs, lhs * 0, _digest(av, a, b, seed))
+    return _report("P24", lhs, rhs, lhs * 0)
 
 
-def pointwise_t25(f, g, alpha, a, b, seed=None):
+def pointwise_t25(f, g, alpha, a, b):
     alpha = _order(alpha)
     av = alpha.alpha
     cl = caputo_left(f.restrict(a, b - 1), alpha, a)
@@ -229,10 +229,10 @@ def pointwise_t25(f, g, alpha, a, b, seed=None):
     lhs = sum(g(s) * cl(s) for s in pts)
     boundary = f(b - 1) * rs(b - 1) - f(a) * rs(a)
     rhs = sum(f(s - 1) * rr(s - 1) for s in pts)
-    return _report("T25", lhs, rhs, boundary, _digest(av, a, b, seed))
+    return _report("T25", lhs, rhs, boundary)
 
 
-def pointwise_t26(f, g, alpha, a, b, seed=None):
+def pointwise_t26(f, g, alpha, a, b):
     alpha = _order(alpha)
     av = alpha.alpha
     lr = nabla_left_riemann(g.restrict(a + 1, b - 1), alpha, a)
@@ -245,17 +245,15 @@ def pointwise_t26(f, g, alpha, a, b, seed=None):
     rhs2 = sum(g(s) * cr(s - 1) for s in pts)
     residuals = [lhs - boundary - rhs1, lhs - boundary - rhs2, rhs1 - rhs2]
     worst = max(residuals, key=abs)
-    return IdentityReport("T26", lhs, rhs1, boundary, worst,
-                          _digest(av, a, b, seed))
+    return IdentityReport("T26", lhs, rhs1, boundary, worst)
 
 
-def pointwise_shift(f, alpha, a, b, seed=None):
+def pointwise_shift(f, alpha, a, b):
     alpha = _order(alpha)
     av = alpha.alpha
     n = alpha.n
     fr = shift_rho(f)
     fs = shift_sigma(f)
-    digest = _digest(av, a, b, seed)
 
     def cmp(ident, left, right, lo, hi, arg):
         worst = None
@@ -266,7 +264,7 @@ def pointwise_shift(f, alpha, a, b, seed=None):
             if worst is None or abs(d) > abs(worst[2]):
                 worst = (lv, rv, d)
         return IdentityReport(ident, worst[0], worst[1], worst[2] * 0,
-                              worst[2], digest)
+                              worst[2])
 
     rho = lambda t: t - 1
     sigma = lambda t: t + 1

@@ -444,3 +444,23 @@ class TestRiemannFloat:
             want = [float(sum(w[k] * xd[m - k] for k in range(m + 1)))
                     for m in rows]
         assert_float_policy([got[m] for m in rows], want)
+
+
+class TestExactOrderOnFloatValues:
+    """Float values with an exact or integer order convolve with its exact
+    weights rounded to float64, on both sides of the FFT crossover; they
+    agree with the float order within the float policy."""
+
+    @pytest.mark.parametrize("n", [513, 4097])
+    @pytest.mark.parametrize("order", [1, rat("1/2")], ids=str)
+    @pytest.mark.parametrize("op", [nabla_left_sum_fn, nabla_left_riemann,
+                                    nabla_right_sum_fn, nabla_right_riemann],
+                             ids=lambda op: op.__name__)
+    def test_matches_float_order(self, op, order, n):
+        rng = np.random.default_rng(n)
+        f = GridFn(0.0, tuple(rng.uniform(-1, 1, n).tolist()))
+        anchor = -1.0 if "left" in op.__name__ else f.hi + 1
+        got, want = op(f, order, anchor), op(f, float(order), anchor)
+        assert (got.lo, len(got)) == (want.lo, len(want))
+        assert all(type(v) is float for v in got.values)
+        assert_float_policy(got.values, want.values)

@@ -9,7 +9,7 @@ from nablafrac.backend import rational
 from nablafrac.grid import DomainError, Grid, GridFn, shift_sigma
 from nablafrac.identities import FLOAT_TOLERANCE
 from nablafrac import variational
-from nablafrac.numerics import FracOrder
+from nablafrac.numerics import FracOrder, weights
 from nablafrac.operators import (caputo_right, nabla_left_riemann,
                                  nabla_left_sum, nabla_left_sum_fn,
                                  nabla_right_riemann, nabla_right_sum_fn,
@@ -105,7 +105,6 @@ class TestAction:
         p = make_problem(Formulation.RIEMANN_B, Boundary("natural"), N=4)
         f = random_fn(1, 1, 3)
         total = rat("0")
-        from nablafrac.numerics import weights
         w = weights(rat("1/2"), 3)  # order 1-alpha sum weights
         prev = rat("0")
         for t in (1, 2, 3):
@@ -546,6 +545,54 @@ class TestAssembly:
               - _residual(p, x - h * dx, assembly)) / (2 * h)
         _close(_jacobian(p, x, assembly) @ dx, fd, tol=1e-6)
 
+
+
+class TestAssemblyAccuracy:
+    """Every entry of the float maps V and Q is one weight of w(-alpha) or
+    w(1-alpha), never a difference of two: at N = 512 each entry is within
+    1e-13 relative of the correctly rounded exact weight.  (TestAssembly
+    probes which entry each weight belongs to; this checks its value.)"""
+
+    @staticmethod
+    def rounded_toeplitz(w):
+        """The lower-triangular Toeplitz matrix of the exact weights w,
+        each entry rounded once."""
+        n = len(w)
+        k = np.subtract.outer(np.arange(n), np.arange(n))
+        w = np.array([float(x) for x in w])
+        return np.where(k >= 0, w[np.maximum(k, 0)], 0.0)
+
+    @pytest.mark.parametrize("alpha", ["1/20", "1/2"])
+    @pytest.mark.parametrize("case", TestAssembly.CASES[:5],
+                             ids=lambda c: f"{c[0].value}-{c[1]}")
+    def test_entries_match_exact_weights(self, case, alpha):
+        form, kind, _ = case
+        N, al = 512, rat(alpha)
+        p = TestAssembly.problem(form, kind, float(al), N, 0.0)
+        _, _, _, V, _, _, Q, _ = _assembly(p)
+        W = self.rounded_toeplitz(weights(-al, N - 1))
+        w1 = np.array([float(x) for x in weights(1 - al, N - 1)])
+        if form is Formulation.RIEMANN_A:
+            want_v, want_q = W[1:], W.T[1:, 1:]
+        elif form is Formulation.RIEMANN_B:
+            want_v, want_q = W[1:, 1:], W.T[1:, 1:]
+            Q = Q[:N - 1]                      # less the constraint row
+        else:
+            want_v = W.copy()
+            want_v[0] = 0.0
+            want_v[1:, 0] = -w1[:-1]           # the point f(a)
+            want_q = W.T[1:-1]
+            if kind == "natural":
+                want_q = np.vstack([want_q, w1, np.eye(1, N, N - 1)])
+            else:
+                want_v, want_q = want_v[1:], want_q[:, 1:]
+        free = p._free()
+        for got, want in ((V[:, :len(free)], want_v[:, free]), (Q, want_q)):
+            assert got.shape == want.shape
+            nz = want != 0
+            assert not got[~nz].any()
+            rel = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
+            assert rel.max() <= 1e-13, rel.max()
 
 class TestPointwiseReference:
     """action, first_variation, el_residual and el_residual_forms read their
