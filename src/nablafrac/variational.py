@@ -25,7 +25,10 @@ coordinate u, with the basis function e_u: the slots are linear in f, so
 those of a bumped f are f's plus a multiple of e_u's.  Terms of J before
 the first point e_u's slots reach are the same on every side of the
 difference stencil and cancel exactly, so only the later terms are
-evaluated.
+evaluated.  Both backends use one five-point stencil, with unit steps in
+rationals and h = 1e-3 (1 + |f(u)|) in floats, where its rounding noise is
+about 1.5 eps sum|L| / h.  In floats the oracle calls the Lagrangian's eval
+on whole arrays of probes, so eval must work elementwise on numpy arrays.
 """
 from __future__ import annotations
 
@@ -33,10 +36,11 @@ import enum
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, repeat
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import DomainError, Grid, GridFn, _offset, shift_sigma
 from .numerics import FracOrder, _order, weights
@@ -50,7 +54,13 @@ __all__ = ["Lagrangian", "Formulation", "Boundary", "VariationalProblem",
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """L(t, u, v) with first and second partials in the u and v slots."""
+    """L(t, u, v) with first and second partials in the u and v slots.
+
+    The partials are called point by point.  In the float backend eval must
+    also work elementwise on numpy arrays of t, u and v (the gradient oracle
+    evaluates it on whole arrays of probes); check_partials enforces this
+    when a float problem is constructed.
+    """
 
     name: str
     eval: Callable
@@ -89,9 +99,11 @@ class Lagrangian:
 
     def check_partials(self, rel_tol: float = 1e-6) -> None:
         """Float-mode self check: analytic first partials against central
-        differences of eval at a few probe points."""
+        differences of eval at a few probe points, and eval called on an
+        array of those points against its scalar calls."""
         h = 1e-6
-        for t, u, v in ((0.0, 0.7, -0.4), (2.0, -1.3, 0.9), (5.0, 0.2, 1.7)):
+        probes = ((0.0, 0.7, -0.4), (2.0, -1.3, 0.9), (5.0, 0.2, 1.7))
+        for t, u, v in probes:
             fd_u = (self.eval(t, u + h, v) - self.eval(t, u - h, v)) / (2 * h)
             fd_v = (self.eval(t, u, v + h) - self.eval(t, u, v - h)) / (2 * h)
             for got, want, slot in ((self.d_u(t, u, v), fd_u, "u"),
@@ -100,6 +112,18 @@ class Lagrangian:
                     raise ValueError(
                         f"Lagrangian {self.name}: d_{slot} disagrees with "
                         f"central differences at (t,u,v)=({t},{u},{v})")
+        # numpy's array functions may round differently from the scalar
+        # ones in the last bits, so the comparison allows for that
+        contract = (f"Lagrangian {self.name}: in the float backend eval must "
+                    f"work elementwise on numpy arrays of t, u and v")
+        want = np.array([self.eval(*x) for x in probes], dtype=float)
+        try:
+            got = np.asarray(self.eval(*np.array(probes).T), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(contract) from exc
+        if got.shape != want.shape or np.any(
+                np.abs(got - want) > 1e-12 * (1 + np.abs(want))):
+            raise ValueError(contract)
 
 
 class Formulation(enum.Enum):
@@ -300,6 +324,12 @@ def el_residual(p: VariationalProblem, f: GridFn,
     return _plus(l1, rr, 1)
 
 
+# Entries per stacked (rows x sum points) array of the float oracle, 128 kB
+# of float64: a chunk takes as many free coordinates as fit, so the
+# oracle's temporaries do not grow with N^2.
+_ORACLE_CHUNK = 1 << 14
+
+
 def _stencil_terms(lag, ts, us, vs, eu, ev, s):
     """L at the points ts and the slot values us + s eu, vs + s ev."""
     s = repeat(s)
@@ -307,45 +337,82 @@ def _stencil_terms(lag, ts, us, vs, eu, ev, s):
                map(add, vs, map(mul, ev, s)))
 
 
+def _stencil_rows(lag, ts, us, vs, eu, ev, h) -> np.ndarray:
+    """The five-point stencil of each row r of the stacked probes eu, ev:
+    sum over the sum points of 8 (L(+h_r) - L(-h_r)) - (L(+2h_r) - L(-2h_r)),
+    over 12 h_r, with L(s) at the slot values us + s eu_r, vs + s ev_r.
+
+    Columns before the first one any row reaches are not evaluated, and
+    each row sums from its own first reached column, so a row's value does
+    not depend on which rows share its chunk.  (A row that reaches no
+    column sums exact zeros: its four arguments are equal everywhere.)"""
+    js = ((eu != 0) | (ev != 0)).argmax(axis=1)
+    j0 = js.min()
+    ts, us, vs, eu, ev = ts[j0:], us[j0:], vs[j0:], eu[:, j0:], ev[:, j0:]
+
+    def at(s):
+        sh = (s * h)[:, None]
+        return lag(ts, us + sh * eu, vs + sh * ev)
+
+    d = 8 * (at(1) - at(-1)) - (at(2) - at(-2))
+    return np.array([row[j:].sum() for row, j in zip(d, js - j0)]) / (12 * h)
+
+
 def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     """dJ/df(u) on the free coordinates, by direct differencing of the
-    action.
+    action with the five-point first-derivative stencil in both backends:
 
-    Float backend: central differences with step h = 1e-6 (1 + |f(u)|),
-    (J(f + h e_u) - J(f - h e_u)) / 2h.  Exact backend: the five-point
-    first-derivative stencil with unit steps, which differentiates
-    polynomial Lagrangians of degree <= 5 exactly.
+      (J(-2) - 8 J(-1) + 8 J(1) - J(2)) / 12h,  J(s) = J(f + s h e_u),
+
+    which differentiates polynomial Lagrangians of degree <= 5 exactly.
+    Exact backend: unit steps (h = 1), so the values are exact.  Float
+    backend: h = 1e-3 (1 + |f(u)|); the truncation error is O(h^4) and the
+    rounding noise about 1.5 eps sum|L| / h, the sum running over the terms
+    the bump reaches.
 
     Both slots are linear in f, so f's slot values us, vs are read once and
     each free coordinate is probed once, with its basis function e_u: the
     slots of f + s e_u are us + s eu and vs + s ev.  A term of J before the
     first sum point where eu or ev is nonzero takes the same arguments at
-    every step of the stencil, so its difference is exactly 0 in either
-    backend; only the later terms are evaluated.  Exact values are thus
-    equal to differencing all of J; float values sum the terms'
-    differences, L(+h) - L(-h), which changes only their last bits.
+    every step of the stencil, so its difference is exactly 0; only the
+    later terms are evaluated.  The exact backend differences the tail sums
+    row by row, which equals differencing all of J.  The float backend
+    stacks the probes of a chunk of free coordinates, at most _ORACLE_CHUNK
+    entries, into (rows x sum points) arrays and calls eval on whole arrays
+    (so eval must work elementwise on numpy arrays; see Lagrangian); each
+    row sums the terms' stencil differences.
     """
     lo, hi = p.f_domain()
     f = f.restrict(lo, hi)
     ts, (us, vs) = _sum_points(p), _slots(p, f)
-    lag = p.lagrangian.eval
+    lag, m = p.lagrangian.eval, len(ts)
     zero = f.values[0] * 0
     free = p._free()
+
+    def probes(rows):
+        """The slots (eu, ev) of the basis functions e_u, u in rows."""
+        for i in rows:
+            e = [zero] * len(f)
+            e[i] = zero + 1
+            yield _slots(p, GridFn(lo, tuple(e)))
+
     out = []
-    for i in free:
-        e = [zero] * len(f)
-        e[i] = zero + 1                        # the basis function e_u
-        eu, ev = _slots(p, GridFn(lo, tuple(e)))
-        j = min(next(compress(count(), eu), len(ts)),
-                next(compress(count(), ev), len(ts)))
-        tail = (ts[j:], us[j:], vs[j:], eu[j:], ev[j:])
-        if p.exact:
+    if p.exact:
+        for eu, ev in probes(free):
+            j = min(next(compress(count(), eu), m),
+                    next(compress(count(), ev), m))
+            tail = (ts[j:], us[j:], vs[j:], eu[j:], ev[j:])
             pm = [sum(_stencil_terms(lag, *tail, s)) for s in (-2, -1, 1, 2)]
             out.append((pm[0] - 8 * pm[1] + 8 * pm[2] - pm[3]) / 12)
-        else:
-            h = 1e-6 * (1 + abs(f.values[i]))
-            out.append(sum(map(sub, _stencil_terms(lag, *tail, h),
-                               _stencil_terms(lag, *tail, -h))) / (2 * h))
+    else:
+        ts, us, vs = (np.array(x, dtype=float) for x in (ts, us, vs))
+        fv = np.abs(np.array(f.values, dtype=float))
+        rows = max(1, _ORACLE_CHUNK // m)
+        for k in range(0, len(free), rows):
+            chunk = free[k:k + rows]
+            eu, ev = map(np.array, zip(*probes(chunk)))
+            h = 1e-3 * (1 + fv[chunk.start:chunk.stop])
+            out.extend(_stencil_rows(lag, ts, us, vs, eu, ev, h).tolist())
     return GridFn(lo + free[0], tuple(out))
 
 
@@ -385,9 +452,10 @@ def _build_f(p: VariationalProblem, x: Sequence[float]) -> GridFn:
 
 def _toeplitz(w, n: int) -> np.ndarray:
     """The n x n lower-triangular Toeplitz matrix T[i, j] = w[i - j]."""
-    k = np.subtract.outer(np.arange(n), np.arange(n))
-    return np.where(k >= 0, np.array(w[:n], dtype=float)[np.maximum(k, 0)],
-                    0.0)
+    c = np.zeros(2 * n - 1)                   # c[n - 1 - k] = w[k]
+    c[:n] = w[n - 1::-1]
+    # window n - 1 - i of c is row i: c[n - 1 - i + j] = w[i - j], or 0
+    return sliding_window_view(c, n)[::-1].copy()
 
 
 def _assembly(p: VariationalProblem):
@@ -452,7 +520,7 @@ def _assembly(p: VariationalProblem):
         """M's columns on the free coordinates, padded to x, and the offset
         from the fixed values."""
         X = np.zeros((len(M), nx))
-        X[:, :len(free)] = M[:, free]
+        X[:, :len(free)] = M[:, free.start:free.stop]
         return X, M @ fixed
 
     U, cu = on_x(Mu)

@@ -60,6 +60,31 @@ class TestLagrangian:
         with pytest.raises(ValueError):
             bad.check_partials()
 
+    def test_eval_must_take_arrays(self):
+        # math.sin takes scalars only; the float oracle calls eval on arrays
+        lag = Lagrangian("sine", eval=lambda t, u, v: v * v / 2 + math.sin(u),
+                         d_u=lambda t, u, v: math.cos(u),
+                         d_v=lambda t, u, v: v,
+                         d_uu=lambda t, u, v: -math.sin(u),
+                         d_uv=lambda t, u, v: 0.0,
+                         d_vv=lambda t, u, v: 1.0)
+        with pytest.raises(ValueError, match="elementwise on numpy arrays"):
+            make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=1.0),
+                         lag=lag, exact=False)
+        # the exact backend never calls eval on arrays
+        make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=rat("1")),
+                     lag=lag)
+
+    def test_eval_must_be_elementwise(self):
+        # a scalar per call passes the scalar probes but not the array one
+        lag = Lagrangian("summed",
+                         eval=lambda t, u, v: float(np.sum(v * v / 2)),
+                         d_u=lambda t, u, v: 0.0, d_v=lambda t, u, v: v,
+                         d_uu=lambda t, u, v: 0.0, d_uv=lambda t, u, v: 0.0,
+                         d_vv=lambda t, u, v: 1.0)
+        with pytest.raises(ValueError, match="elementwise on numpy arrays"):
+            lag.check_partials()
+
 
 class TestValidation:
     def test_riemann_a_needs_fixed_start(self):
@@ -789,3 +814,142 @@ class TestOracleReference:
         got = gradient_oracle(p, f)
         for g, w in zip(got.values, want.values):
             assert abs(g - w) <= 1e-6 * (1 + abs(w))
+
+
+class TestFloatOracle:
+    """The float oracle evaluates L on stacked chunks of probes with the
+    five-point stencil at h = 1e-3 (1 + |f(u)|)."""
+
+    CASES = TestAssembly.CASES
+    LAGS = TestOracleReference.LAGS
+
+    def test_converged_caputo_reads_rounding_level_gradient(self):
+        # the first variation of this converged quadratic solve is ~1e-14;
+        # a central difference with h = 1e-6 read 1.14e-6 on it
+        p = VariationalProblem(
+            Grid(0, 256), FracOrder(0.6103220044948473), Formulation.CAPUTO,
+            Boundary("fixed", A=0.4122235204420035, B=-0.1961187365458199),
+            Lagrangian.quadratic_potential(1.3374392724338622))
+        sol = solve(p)
+        assert sol.converged
+        assert sol.gradient_norm <= 1e-8
+
+    @pytest.mark.parametrize("chunk", [1, 200])
+    @pytest.mark.parametrize(
+        "case,N,lag", list(product(CASES, (8, 64), LAGS)),
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else str(v))
+    def test_chunks_only_partition_the_work(self, monkeypatch, case, N, lag,
+                                            chunk):
+        p = TestOracleReference.problem(case, N, 1 / 3, False, lag)
+        f = TestPointwiseReference.draw(p, N)
+        want = gradient_oracle(p, f)
+        monkeypatch.setattr(variational, "_ORACLE_CHUNK", chunk)
+        got = gradient_oracle(p, f)
+        assert got.lo == want.lo
+        assert got.values == want.values
+
+    @pytest.mark.parametrize(
+        "case,lag", list(product(CASES, LAGS)),
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else str(v))
+    def test_matches_exact_oracle(self, case, lag):
+        # the stencil is exact for these polynomial Lagrangians, so the
+        # float oracle on rational data differs from the exact one by
+        # rounding only, within the noise floor 1.5 eps sum|L| / h (the
+        # worst case here reads 0.43 of it; h = 1e-6 central differences
+        # read about 1000 times more)
+        N = 64
+        pe = TestOracleReference.problem(case, N, 0.0, True, lag)
+        pf = TestOracleReference.problem(case, N, 0.0, False, lag)
+        f = TestPointwiseReference.draw(pe, N)
+        ff = GridFn(f.lo, tuple(map(float, f.values)))
+        want, got = gradient_oracle(pe, f), gradient_oracle(pf, ff)
+        assert got.lo == want.lo and len(got) == len(want)
+        total = sum(abs(pf.lagrangian.eval(*x)) for x in
+                    zip(_sum_points(pf), *variational._slots(pf, ff)))
+        for u, g, w in zip(pf.free_points(), got.values, want.values):
+            h = 1e-3 * (1 + abs(ff(u)))
+            assert abs(g - float(w)) <= 1.5 * np.finfo(float).eps * total / h
+
+
+def _toeplitz_by_index_matrix(w, n):
+    """_toeplitz as it was built before: from an N^2 index matrix."""
+    k = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.where(k >= 0, np.array(w[:n], dtype=float)[np.maximum(k, 0)],
+                    0.0)
+
+
+def _assembly_by_index_matrix(p):
+    """_assembly as it was built before: W from the index matrix, and the
+    free columns read by a range of indices."""
+    form, bnd, N = p.formulation, p.boundary, p.grid.N
+    m = N - 1
+    al = p.alpha.alpha
+    ts, k, c = _sum_points(p), 0, None
+    W = _toeplitz_by_index_matrix(weights(-al, m), N)
+    if form is Formulation.RIEMANN_A:
+        Mu, Mv, Q = np.eye(m, N, 1), W[1:], W.T[1:, 1:]
+    else:
+        w1 = np.array(weights(1 - al, m), dtype=float)
+        if form is Formulation.RIEMANN_B:
+            Mu, Mv, Q = np.eye(m), W[1:, 1:], W.T[1:, 1:]
+            if bnd.kind == "fixed":
+                c = -w1[m - 1::-1]
+                Q = np.vstack([Q, np.zeros(m)])
+        else:
+            Mu = np.eye(N, N, -1)
+            Mu[0, 0] = 1.0
+            Mv = W.copy()
+            Mv[0] = 0.0
+            Mv[1:, 0] = -w1[:m]
+            Q = W.T[1:-1]
+            if bnd.kind == "natural":
+                ts, k = [p.grid.a] + ts, 2
+                Q = np.vstack([Q, w1, np.eye(1, N, m)])
+            else:
+                Mu, Mv, Q, k = Mu[1:], Mv[1:], Q[:, 1:], 1
+    free = p._free()
+    fixed = _f_vector(p, 0.0)
+    nx = len(free) + int(c is not None)
+
+    def on_x(M):
+        X = np.zeros((len(M), nx))
+        X[:, :len(free)] = M[:, free]
+        return X, M @ fixed
+
+    U, cu = on_x(Mu)
+    V, cv = on_x(Mv)
+    return ts, U, cu, V, cv, k, Q, c
+
+
+class TestAssemblyFromSlices:
+    """_toeplitz builds its matrix from a sliding window of the weights and
+    on_x reads the free columns as a slice; every map must stay
+    bit-identical to the index-matrix construction, since last-bit changes
+    to Newton's residual can flip a solve's verdict."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 300])
+    @pytest.mark.parametrize("beta", [-0.4, 0.6, rat("-1/3")],
+                             ids=str)
+    def test_toeplitz(self, beta, n):
+        w = weights(beta, n - 1)
+        got = variational._toeplitz(w, n)
+        want = _toeplitz_by_index_matrix(w, n)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()     # signed zeros too
+
+    @pytest.mark.parametrize(
+        "case,N", list(product(TestAssembly.CASES, (3, 8, 64, 300))),
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else str(v))
+    def test_maps_bit_identical(self, case, N):
+        p = TestAssembly.problem(*case, N, 1 / 3)
+        got, want = _assembly(p), _assembly_by_index_matrix(p)
+        assert got[0] == want[0] and got[5] == want[5]
+        for g, w in zip(got[1:5] + got[6:], want[1:5] + want[6:]):
+            if w is None:
+                assert g is None
+            else:
+                assert g.shape == w.shape and np.array_equal(g, w)
