@@ -20,15 +20,23 @@ from the weights (_assembly).  The GridFn Euler-Lagrange residual
 (el_residual) and the gradient oracle, which recomputes the derivatives by
 direct differencing of J, are independent references that never touch
 those maps; they read values by offset slices, not point by point.  The
-oracle reads f's slot values once and probes the operators once per free
-coordinate u, with the basis function e_u: the slots are linear in f, so
-those of a bumped f are f's plus a multiple of e_u's.  Terms of J before
-the first point e_u's slots reach are the same on every side of the
-difference stencil and cancel exactly, so only the later terms are
-evaluated.  Both backends use one five-point stencil, with unit steps in
+oracle reads f's slot values once; the slots are linear in f, so those of
+f bumped at a free coordinate u are f's plus a multiple of the slots of
+the basis function e_u.  Past the first free coordinate the slots of e_u
+are also shift-invariant (u is a shift of f, and v a causal convolution
+anchored left of every free point), so the operators are probed at most
+twice, on e_u for the first two free coordinates, and the later probes are
+shifts of the second.  The first gets its own probe because f(a) of a
+natural Caputo problem enters its difference with the opposite sign.
+Terms of J before the first point e_u's slots reach are the same on every
+side of the difference stencil and cancel exactly, so only the later terms
+are evaluated.  Both backends use one five-point stencil, with unit steps in
 rationals and h = 1e-3 (1 + |f(u)|) in floats, where its rounding noise is
 about 1.5 eps sum|L| / h.  In floats the oracle calls the Lagrangian's eval
 on whole arrays of probes, so eval must work elementwise on numpy arrays.
+
+solve runs damped Newton and, when that stalls or reaches max_iter, one
+undamped retry from the same start, kept only if it converges.
 """
 from __future__ import annotations
 
@@ -358,6 +366,51 @@ def _stencil_rows(lag, ts, us, vs, eu, ev, h) -> np.ndarray:
     return np.array([row[j:].sum() for row, j in zip(d, js - j0)]) / (12 * h)
 
 
+def _probe_rows(p: VariationalProblem, f: GridFn):
+    """probes(start, stop): the slots (eu, ev) of the basis functions e_u for
+    u in free[start:stop], as (stop - start) x (sum points) arrays: float
+    in the float backend, of rationals (dtype object) in the exact one.
+    f is on f_domain().
+
+    The operator layer is probed at most twice, on e_u for u = free[0] and
+    free[1].  Both slots are linear in f, and past free[0] they are also
+    shift-invariant: u is a shift of f, and v is a causal convolution whose
+    anchor lies left of every free point (the Caputo difference of e_u,
+    u > a, is w(-alpha) from u on).  So the slots of e_{free[k]}, k >= 1, are
+    those of e_{free[1]} shifted right by k - 1 and cut off at b - 1, read
+    as a strided window.  free[0] gets its own probe because only there can
+    the slots differ: f(a) of a natural Caputo problem enters its
+    difference with the opposite sign.
+    """
+    lo, free = f.lo, p._free()
+    zero = f.values[0] * 0
+    dtype = object if p.exact else float
+
+    def probe(i):
+        e = [zero] * len(f)
+        e[i] = zero + 1
+        return [np.array(x, dtype=dtype)
+                for x in _slots(p, GridFn(lo, tuple(e)))]
+
+    first = probe(free[0])
+    m = len(first[0])
+    # the windows of m zeros then the second probe's slots, last first:
+    # window d is those slots shifted right by d
+    later = [sliding_window_view(np.concatenate(
+        (np.full(m, zero, dtype=dtype), x)), m)[::-1]
+        for x in probe(free[1])] if len(free) > 1 else None
+
+    def probes(start, stop):
+        if start > 0:
+            return [w[start - 1:stop - 1] for w in later]
+        if stop == 1:
+            return [x[None] for x in first]
+        return [np.concatenate((x[None], w[:stop - 1]))
+                for x, w in zip(first, later)]
+
+    return probes
+
+
 def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     """dJ/df(u) on the free coordinates, by direct differencing of the
     action with the five-point first-derivative stencil in both backends:
@@ -371,34 +424,30 @@ def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     the bump reaches.
 
     Both slots are linear in f, so f's slot values us, vs are read once and
-    each free coordinate is probed once, with its basis function e_u: the
-    slots of f + s e_u are us + s eu and vs + s ev.  A term of J before the
-    first sum point where eu or ev is nonzero takes the same arguments at
-    every step of the stencil, so its difference is exactly 0; only the
-    later terms are evaluated.  The exact backend differences the tail sums
-    row by row, which equals differencing all of J.  The float backend
-    stacks the probes of a chunk of free coordinates, at most _ORACLE_CHUNK
-    entries, into (rows x sum points) arrays and calls eval on whole arrays
-    (so eval must work elementwise on numpy arrays; see Lagrangian); each
-    row sums the terms' stencil differences.
+    the slots of f + s e_u are us + s eu and vs + s ev, with eu, ev the
+    slots of the basis function e_u.  Past the first free coordinate the
+    slots are also shift-invariant, so the operator layer is probed at most
+    twice, however large N is: on e_u for the first two free coordinates,
+    the later rows being shifts of the second (see _probe_rows).  A term of
+    J before the first sum point where eu or ev is nonzero takes the same
+    arguments at every step of the stencil, so its difference is exactly 0;
+    only the later terms are evaluated.  The exact backend differences the
+    tail sums row by row, which equals differencing all of J.  The float
+    backend takes the probes of a chunk of free coordinates, at most
+    _ORACLE_CHUNK entries, as (rows x sum points) arrays and calls eval on
+    whole arrays (so eval must work elementwise on numpy arrays; see
+    Lagrangian); each row sums the terms' stencil differences.
     """
     lo, hi = p.f_domain()
     f = f.restrict(lo, hi)
     ts, (us, vs) = _sum_points(p), _slots(p, f)
     lag, m = p.lagrangian.eval, len(ts)
-    zero = f.values[0] * 0
     free = p._free()
-
-    def probes(rows):
-        """The slots (eu, ev) of the basis functions e_u, u in rows."""
-        for i in rows:
-            e = [zero] * len(f)
-            e[i] = zero + 1
-            yield _slots(p, GridFn(lo, tuple(e)))
+    probes = _probe_rows(p, f)
 
     out = []
     if p.exact:
-        for eu, ev in probes(free):
+        for eu, ev in zip(*probes(0, len(free))):
             j = min(next(compress(count(), eu), m),
                     next(compress(count(), ev), m))
             tail = (ts[j:], us[j:], vs[j:], eu[j:], ev[j:])
@@ -410,7 +459,7 @@ def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
         rows = max(1, _ORACLE_CHUNK // m)
         for k in range(0, len(free), rows):
             chunk = free[k:k + rows]
-            eu, ev = map(np.array, zip(*probes(chunk)))
+            eu, ev = probes(k, k + len(chunk))
             h = 1e-3 * (1 + fv[chunk.start:chunk.stop])
             out.extend(_stencil_rows(lag, ts, us, vs, eu, ev, h).tolist())
     return GridFn(lo + free[0], tuple(out))
@@ -564,6 +613,45 @@ def _jacobian(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
     return J
 
 
+def _newton(p: VariationalProblem, assembly, x: np.ndarray, r: np.ndarray,
+            tol: float, max_iter: int, damped: bool):
+    """Newton steps from x, whose residual is r, until max |r| <= tol, or
+    max_iter steps, or a stall; returns (x, r, steps, converged).
+
+    Damped, a step is halved up to 30 times until |r|_2 falls (or the
+    candidate meets tol), and the run stalls when no halving does; a
+    singular Jacobian raises DomainError.  Undamped, every step is a full
+    one, and the run stops at a singular Jacobian or at the first
+    non-finite residual, without raising.
+    """
+    steps = 0
+    converged = bool(np.max(np.abs(r)) <= tol)
+    while not converged and steps < max_iter:
+        J = _jacobian(p, x, assembly)
+        try:
+            dx = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError as exc:
+            if not damped:
+                break
+            raise DomainError("singular Jacobian in Newton solve") from exc
+        step, best = 1.0, None
+        for _ in range(30 if damped else 1):
+            cand = x + step * dx
+            rc = _residual(p, cand, assembly)
+            if np.max(np.abs(rc)) <= tol or (
+                    np.linalg.norm(rc) < np.linalg.norm(r) if damped
+                    else np.isfinite(rc).all()):
+                best = (cand, rc)
+                break
+            step /= 2
+        if best is None:
+            break
+        x, r = best
+        steps += 1
+        converged = bool(np.max(np.abs(r)) <= tol)
+    return x, r, steps, converged
+
+
 def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
           tol: float = 1e-10, max_iter: int = 50) -> Solution:
     """Damped Newton on the square residual system (float backend).
@@ -571,6 +659,15 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     Convergence means max |residual row| <= tol; the returned gradient_norm
     is recomputed independently by the gradient oracle (projected onto the
     constraint manifold in the RIEMANN_B fixed case).
+
+    A damped run that stalls (no halving of a step lowers the residual) or
+    reaches max_iter is retried once from the same start with full Newton
+    steps, up to max_iter of them.  The retry's result is taken only if it
+    converges, and then iterations counts the steps of both runs; otherwise
+    the damped run's result is returned as it was.  The retry never raises:
+    a singular Jacobian, a non-finite residual or an arithmetic error in
+    the Lagrangian's partials ends it.  A singular Jacobian in the damped
+    run raises DomainError.
     """
     if p.exact:
         raise DomainError("solve runs in the float backend")
@@ -580,34 +677,22 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     free = p.free_points()
     m = len(free) + (1 if constrained else 0)
     if initial is None:
-        x = np.zeros(m)
+        x0 = np.zeros(m)
     else:
-        x = np.array([float(v) for v in
-                      initial.restrict(free[0], free[-1]).values] +
-                     ([0.0] if constrained else []))
-    r = _residual(p, x, assembly)
-    iterations = 0
-    converged = bool(np.max(np.abs(r)) <= tol)
-    while not converged and iterations < max_iter:
-        J = _jacobian(p, x, assembly)
+        x0 = np.array([float(v) for v in
+                       initial.restrict(free[0], free[-1]).values] +
+                      ([0.0] if constrained else []))
+    r0 = _residual(p, x0, assembly)
+    x, _, iterations, converged = _newton(p, assembly, x0, r0, tol,
+                                          max_iter, damped=True)
+    if not converged:
         try:
-            dx = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("singular Jacobian in Newton solve") from exc
-        step, best = 1.0, None
-        for _ in range(30):
-            cand = x + step * dx
-            rc = _residual(p, cand, assembly)
-            if np.linalg.norm(rc) < np.linalg.norm(r) \
-                    or np.max(np.abs(rc)) <= tol:
-                best = (cand, rc)
-                break
-            step /= 2
-        if best is None:
-            break
-        x, r = best
-        iterations += 1
-        converged = bool(np.max(np.abs(r)) <= tol)
+            xr, _, steps, converged = _newton(p, assembly, x0, r0, tol,
+                                              max_iter, damped=False)
+        except ArithmeticError:
+            pass
+        if converged:
+            x, iterations = xr, iterations + steps
 
     lam = float(x[-1]) if constrained else None
     f = _build_f(p, x[:-1] if constrained else x)

@@ -390,6 +390,122 @@ class TestSolve:
         sol = solve(p, max_iter=8)  # beyond the fold, no solution to find
         assert not sol.converged
 
+    # quartic problems at N = 64 on which damped Newton from zero stalls
+    STALLS = {
+        "riemann_a-converges": (Formulation.RIEMANN_A, 1.7400267356551151,
+                                0.08557734934827463, None),
+        "caputo-converges": (Formulation.CAPUTO, 0.7402796020105412,
+                             0.05334405299466591, 0.0873154604547306),
+        "riemann_a-fails": (Formulation.RIEMANN_A, 1.3884480657427773,
+                            -0.06247371553300121, None),
+    }
+
+    @staticmethod
+    def runs(monkeypatch):
+        """Record each _newton run of a solve: (damped, steps, converged,
+        x)."""
+        newton, runs = variational._newton, []
+
+        def recorded(*args, damped):
+            x, r, steps, converged = newton(*args, damped=damped)
+            runs.append((damped, steps, converged, x))
+            return x, r, steps, converged
+
+        monkeypatch.setattr(variational, "_newton", recorded)
+        return runs
+
+    @pytest.mark.parametrize("name", ["riemann_a-converges",
+                                      "caputo-converges"])
+    def test_stalled_solve_retried_undamped(self, monkeypatch, name):
+        form, alpha, A, B = self.STALLS[name]
+        p = VariationalProblem(Grid(0, 64), FracOrder(alpha), form,
+                               Boundary("fixed", A=A, B=B),
+                               Lagrangian.quartic_potential())
+        runs = self.runs(monkeypatch)
+        sol = solve(p)
+        (d1, n1, c1, _), (d2, n2, c2, x2) = runs
+        assert (d1, c1, d2, c2) == (True, False, False, True)
+        assert sol.converged and sol.iterations == n1 + n2
+        assert sol.f == _build_f(p, x2)
+        assert sol.max_el_residual <= 1e-10 and sol.gradient_norm <= 1e-9
+
+    def test_failed_retry_keeps_the_damped_result(self, monkeypatch):
+        form, alpha, A, B = self.STALLS["riemann_a-fails"]
+        p = VariationalProblem(Grid(0, 64), FracOrder(alpha), form,
+                               Boundary("fixed", A=A, B=B),
+                               Lagrangian.quartic_potential())
+        runs = self.runs(monkeypatch)
+        sol = solve(p)
+        (d1, n1, c1, x1), (d2, _, c2, _) = runs
+        assert (d1, c1, d2, c2) == (True, False, False, False)
+        assert not sol.converged
+        assert sol.iterations == n1 == 38
+        assert sol.f == _build_f(p, x1)
+
+    def test_converged_solve_is_not_retried(self, monkeypatch):
+        p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=0.1),
+                         lag=Lagrangian.quartic_potential(), exact=False)
+        runs = self.runs(monkeypatch)
+        assert solve(p).converged
+        (damped, _, converged, _), = runs
+        assert damped and converged
+
+    def test_singular_jacobian_raises_in_the_damped_run(self):
+        # L = u + v: every second partial is 0, so J = 0
+        lag = Lagrangian("linear", eval=lambda t, u, v: u + v,
+                         d_u=lambda t, u, v: 1.0, d_v=lambda t, u, v: 1.0,
+                         d_uu=lambda t, u, v: 0.0, d_uv=lambda t, u, v: 0.0,
+                         d_vv=lambda t, u, v: 0.0)
+        p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=1.0),
+                         lag=lag, exact=False)
+        with pytest.raises(DomainError, match="singular Jacobian"):
+            solve(p)
+        assembly = _assembly(p)
+        x = np.zeros(len(p._free()))
+        r = _residual(p, x, assembly)
+        got = variational._newton(p, assembly, x, r, 1e-10, 50, damped=False)
+        assert got[2:] == (0, False)
+
+    def test_retry_stops_at_a_non_finite_residual(self, monkeypatch):
+        # L_1 = u - 3 up to |u| = 1.5 and infinite past it: the full step
+        # lands at u = 3, where the residual is not finite
+        def d_u(t, u, v):
+            return u - 3 if abs(u) <= 1.5 else math.inf
+
+        lag = Lagrangian("walled", eval=lambda t, u, v: (u - 3) ** 2 / 2,
+                         d_u=d_u, d_v=lambda t, u, v: 0.0,
+                         d_uu=lambda t, u, v: 1.0, d_uv=lambda t, u, v: 0.0,
+                         d_vv=lambda t, u, v: 0.0)
+        p = VariationalProblem(Grid(0, 8), FracOrder(0.5),
+                               Formulation.RIEMANN_B, Boundary("natural"),
+                               lag)
+        runs = self.runs(monkeypatch)
+        sol = solve(p)
+        (d1, n1, c1, x1), (d2, n2, c2, _) = runs
+        assert (d1, c1, d2, c2, n2) == (True, False, False, False, 0)
+        assert not sol.converged and sol.iterations == n1
+        assert sol.f == _build_f(p, x1)
+
+    def test_retry_does_not_raise_an_arithmetic_error(self, monkeypatch):
+        # Python floats raise OverflowError where numpy ones give inf (in
+        # u ** 3 of the quartic partial, say)
+        form, alpha, A, B = self.STALLS["riemann_a-fails"]
+        p = VariationalProblem(Grid(0, 64), FracOrder(alpha), form,
+                               Boundary("fixed", A=A, B=B),
+                               Lagrangian.quartic_potential())
+        want = solve(p)
+        newton = variational._newton
+
+        def overflowing(*args, damped):
+            if not damped:
+                raise OverflowError("numerical result out of range")
+            return newton(*args, damped=damped)
+
+        monkeypatch.setattr(variational, "_newton", overflowing)
+        got = solve(p)
+        assert not got.converged and got.iterations == want.iterations
+        assert got.f == want.f
+
     @pytest.mark.parametrize("bnd", [Boundary("fixed", A=1.0, B=0.5),
                                      Boundary("natural")],
                              ids=lambda b: b.kind)
@@ -780,14 +896,14 @@ class TestOracleReference:
             for g, w in zip(got.values, want.values):
                 assert abs(g - w) <= 1e-6 * (1 + abs(w))
 
+    @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("exact", [False, True],
                              ids=["float", "exact"])
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0].value}-"
                              f"{c[1]}-{c[2]}")
-    def test_one_operator_probe_per_free_coordinate(self, monkeypatch, case,
-                                                    exact):
-        p = self.problem(case, 8, 1 / 3, exact)
-        f = TestPointwiseReference.draw(p, 8)
+    def test_at_most_two_operator_probes(self, monkeypatch, case, exact, N):
+        p = self.problem(case, N, 1 / 3, exact)
+        f = TestPointwiseReference.draw(p, N)
         calls = []
 
         def counted(p, f):
@@ -797,7 +913,7 @@ class TestOracleReference:
         v_fn = variational._v_fn
         monkeypatch.setattr(variational, "_v_fn", counted)
         gradient_oracle(p, f)
-        assert len(calls) == len(p._free()) + 1
+        assert len(calls) == 1 + min(2, len(p._free()))
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0].value}-"
                              f"{c[1]}-{c[2]}")
@@ -814,6 +930,66 @@ class TestOracleReference:
         got = gradient_oracle(p, f)
         for g, w in zip(got.values, want.values):
             assert abs(g - w) <= 1e-6 * (1 + abs(w))
+
+
+class TestProbeRows:
+    """The oracle's probe rows are the slots of the basis functions e_u:
+    two operator probes and shifts of the second must give what probing
+    every free coordinate gives, exactly (==) up to 512 points, where the
+    float convolutions are direct sums."""
+
+    CASES = TestAssembly.CASES
+
+    @staticmethod
+    def want(p, f, u):
+        """_slots of the basis function e_u, probed through the operators."""
+        zero = f.values[0] * 0
+        e = [zero] * len(f)
+        e[u] = zero + 1
+        return variational._slots(p, GridFn(f.lo, tuple(e)))
+
+    @classmethod
+    def rows(cls, case, N, anchor, exact):
+        p = TestPointwiseReference.problem(*case, N, anchor, exact)
+        f = TestPointwiseReference.draw(p, N).restrict(*p.f_domain())
+        free = p._free()
+        rows = variational._probe_rows(p, f)
+        return p, f, free, rows
+
+    @pytest.mark.parametrize(
+        "case,N,anchor,exact",
+        [(c, N, anchor, exact) for c in CASES for N in (2, 3, 8, 64)
+         for anchor in (0.0, 1 / 3) for exact in (False, True)
+         if not (c[0] is Formulation.CAPUTO and c[1] == "fixed" and N == 2)],
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else ("exact" if v else "float") if isinstance(v, bool)
+        else f"{v:.3g}")
+    def test_rows_are_the_probed_slots(self, case, N, anchor, exact):
+        p, f, free, rows = self.rows(case, N, anchor, exact)
+        whole = rows(0, len(free))
+        for k, u in enumerate(free):
+            want = self.want(p, f, u)
+            # each row alone, as the oracle's chunks read it, and in the
+            # stack of all rows
+            for got in (rows(k, k + 1), [x[k:k + 1] for x in whole]):
+                for g, w in zip(got, want):
+                    assert g.shape == (1, len(w))
+                    if exact:
+                        assert tuple(g[0]) == tuple(w)
+                    else:
+                        assert np.array_equal(g[0], np.array(w))
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0].value}-"
+                             f"{c[1]}-{c[2]}")
+    def test_rows_past_the_fft_crossover(self, case):
+        # past 512 points the operators convolve by blocked FFTs, whose
+        # rounding is not shift-invariant; the rows stay within 1e-12
+        p, f, free, rows = self.rows(case, 600, 1 / 3, False)
+        eu, ev = rows(0, len(free))
+        for k, u in enumerate(free):
+            for g, w in zip((eu[k], ev[k]), self.want(p, f, u)):
+                w = np.array(w)
+                assert np.all(np.abs(g - w) <= 1e-12 * (1 + np.abs(w)))
 
 
 class TestFloatOracle:
