@@ -400,6 +400,13 @@ class TestSolve:
                             -0.06247371553300121, None),
     }
 
+    @classmethod
+    def stall(cls, name):
+        form, alpha, A, B = cls.STALLS[name]
+        return VariationalProblem(Grid(0, 64), FracOrder(alpha), form,
+                                  Boundary("fixed", A=A, B=B),
+                                  Lagrangian.quartic_potential())
+
     @staticmethod
     def runs(monkeypatch):
         """Record each _newton run of a solve: (damped, steps, converged,
@@ -417,10 +424,7 @@ class TestSolve:
     @pytest.mark.parametrize("name", ["riemann_a-converges",
                                       "caputo-converges"])
     def test_stalled_solve_retried_undamped(self, monkeypatch, name):
-        form, alpha, A, B = self.STALLS[name]
-        p = VariationalProblem(Grid(0, 64), FracOrder(alpha), form,
-                               Boundary("fixed", A=A, B=B),
-                               Lagrangian.quartic_potential())
+        p = self.stall(name)
         runs = self.runs(monkeypatch)
         sol = solve(p)
         (d1, n1, c1, _), (d2, n2, c2, x2) = runs
@@ -430,10 +434,7 @@ class TestSolve:
         assert sol.max_el_residual <= 1e-10 and sol.gradient_norm <= 1e-9
 
     def test_failed_retry_keeps_the_damped_result(self, monkeypatch):
-        form, alpha, A, B = self.STALLS["riemann_a-fails"]
-        p = VariationalProblem(Grid(0, 64), FracOrder(alpha), form,
-                               Boundary("fixed", A=A, B=B),
-                               Lagrangian.quartic_potential())
+        p = self.stall("riemann_a-fails")
         runs = self.runs(monkeypatch)
         sol = solve(p)
         (d1, n1, c1, x1), (d2, _, c2, _) = runs
@@ -489,10 +490,7 @@ class TestSolve:
     def test_retry_does_not_raise_an_arithmetic_error(self, monkeypatch):
         # Python floats raise OverflowError where numpy ones give inf (in
         # u ** 3 of the quartic partial, say)
-        form, alpha, A, B = self.STALLS["riemann_a-fails"]
-        p = VariationalProblem(Grid(0, 64), FracOrder(alpha), form,
-                               Boundary("fixed", A=A, B=B),
-                               Lagrangian.quartic_potential())
+        p = self.stall("riemann_a-fails")
         want = solve(p)
         newton = variational._newton
 
