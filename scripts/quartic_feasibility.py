@@ -1,9 +1,13 @@
-"""Map the feasible boundary amplitude for the quartic-potential problem.
+"""Map where natural continuation stops on the quartic-potential problem.
 
-The fixed-start quartic problem (L = v^2/2 - u^4/4) loses its solution
-branch at a fold in the boundary value A: continuation in A converges up to
-a critical amplitude and fails beyond it.  This script bisects for that
-amplitude per (alpha, N) and prints the resulting table.
+For the fixed-start quartic problem (L = v^2/2 - u^4/4) the script solves
+at A/4, A/2, 3A/4 and A in turn, each stage warm-started from the one
+before, and bisects per (alpha, N) for the amplitude A beyond which some
+stage fails to converge.  That measures where this 4-stage natural
+continuation stops, near the first turning point of the solution branch in
+A; it does not show that no solution exists beyond it, since the branch
+can turn back and reach larger A.  The printed table keeps its historical
+column name, "fold amplitude".
 """
 import argparse
 
@@ -15,9 +19,6 @@ from nablafrac.grid import DomainError
 
 
 def feasible(alpha, N, A):
-    p = VariationalProblem(Grid(0, N), FracOrder(alpha),
-                           Formulation.RIEMANN_A, Boundary("fixed", A=A),
-                           Lagrangian.quartic_potential())
     # continuation in A: warm-start each stage from the previous solution
     f = None
     for s in np.linspace(0.25, 1.0, 4):

@@ -214,10 +214,9 @@ def check_shift_properties(f: GridFn, alpha, a, b):
 
 # -- randomized trials -------------------------------------------------------
 
-def random_gridfn(rng: random.Random, lo, hi, exact: bool,
-                  make) -> GridFn:
+def random_gridfn(rng: random.Random, lo, hi, make) -> GridFn:
     """Integer-valued random function, uniform on [-9, 9] so failing cases
-    stay hand-auditable."""
+    stay hand-auditable; make gives the values their backend's type."""
     n = _offset(hi, lo) + 1
     return GridFn(lo, tuple(make(rng.randint(-9, 9)) for _ in range(n)))
 
@@ -237,13 +236,14 @@ _UNIT_INTERVAL = frozenset({"T25", "T26"})
 def run_trial(identity_id: str, alpha, a, b, seed: int, exact: bool,
               make) -> list:
     """Run one seeded random trial of one identity; returns the report list
-    (six for the shift properties, one otherwise)."""
+    (six for the shift properties, one otherwise).  make gives the values
+    their backend's type; exact is not read."""
     rng = random.Random(f"{identity_id}:{format_scalar(_order_value(alpha))}:"
                         f"{_offset(b, a)}:{seed}")
-    f = random_gridfn(rng, a, b, exact, make)
+    f = random_gridfn(rng, a, b, make)
     if identity_id == "SHIFT":
         return check_shift_properties(f, alpha, a, b)
-    g = random_gridfn(rng, a, b, exact, make)
+    g = random_gridfn(rng, a, b, make)
     return [_CHECKS[identity_id](f, g, alpha, a, b)]
 
 

@@ -10,13 +10,12 @@ Three formulations are supported for J(f) = sum_{t=a+1}^{b-1} L(t, u, v):
               construction) or the fractional sum
               nabla_a^{-(1-alpha)} f(b-1) = A fixed via one multiplier.
   CAPUTO    : u = f(t-1), v = (C-nabla_a^alpha f)(t), 0 < alpha < 1,
-              endpoints f(a) = A, f(b-1) = B fixed, or natural conditions
-              on _b nabla^{-(1-alpha)} L_2 at a and b-1.
+              endpoints f(a) = A, f(b-1) = B fixed, or free (natural).
 
-The Euler-Lagrange residuals assembled here coincide with the partial
-derivatives of J on the free coordinates.  Newton's residual and its
-Jacobian come from one set of lower-triangular Toeplitz maps built straight
-from the weights (_assembly).  The GridFn Euler-Lagrange residual
+Newton's residual is the gradient of J on the free coordinates and its
+Jacobian the symmetric Hessian, bordered by the multiplier in the RIEMANN_B
+fixed case, both from the slot maps of _assembly; at interior points the
+gradient is the Euler-Lagrange residual.  The GridFn Euler-Lagrange residual
 (el_residual) and the gradient oracle, which recomputes the derivatives by
 direct differencing of J, are independent references that never touch
 those maps; they read values by offset slices, not point by point.  The
@@ -443,6 +442,8 @@ def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     ts, (us, vs) = _sum_points(p), _slots(p, f)
     lag, m = p.lagrangian.eval, len(ts)
     free = p._free()
+    if not free:
+        raise DomainError("the problem has no free coordinate")
     probes = _probe_rows(p, f)
 
     out = []
@@ -508,58 +509,50 @@ def _toeplitz(w, n: int) -> np.ndarray:
 
 
 def _assembly(p: VariationalProblem):
-    """The constant maps of the Newton system, built from the weights.
+    """The constant maps of the Newton system, built from the weights:
+    (ts, U, cu, V, cv, i, c).
 
     The slot maps U, V take the unknowns x to u, v at the points ts, with
     offsets cu, cv from the boundary values.  With L_1, L_2 the Lagrangian
-    partials at (ts, u, v), the residual is Q L_2 plus L_1 from ts[k] on in
-    its first rows.  Every V and Q is a slice of one lower-triangular
-    Toeplitz matrix W = T(w(-alpha)) on the N points [a, b-1]; w(1-alpha)
-    enters only as boundary vectors.  A difference of a w(1-alpha) sum is
-    a w(-alpha) convolution, since w(-1) * w(1-alpha) = w(-alpha)
-    (Chu-Vandermonde), so these maps are the operators' compositions
-    exactly, and in floats they never difference two sums:
+    partials there, the residual is the gradient V^T L_2 + U^T L_1 and the
+    Jacobian its Hessian.  U is a 0/1 selection whose row i[k] reads the
+    free coordinate k; the later coordinates (f(b-1) of a natural CAPUTO
+    problem, the multiplier) are read by no row.  So U^T y is y[i] in the
+    first len(i) coordinates: U^T moves rows, with no product.  (A scatter
+    by index, in place of the first rows, made that move ten times slower at
+    N = 256.)  V is a slice of one lower-triangular Toeplitz matrix
+    W = T(w(-alpha)) on the N points [a, b-1]; w(1-alpha) enters only as
+    boundary vectors.  A difference of a w(1-alpha) sum is a w(-alpha)
+    convolution, since w(-1) * w(1-alpha) = w(-alpha) (Chu-Vandermonde), so
+    these maps are the operators' compositions exactly, and in floats they
+    never difference two sums:
 
-      RIEMANN_A : V = W[1:], Q = W^T[1:, 1:], on [a+1, b-1];
-      RIEMANN_B : V = W[1:, 1:], Q = W[1:, 1:]^T on L_2 extended to t = b
-                  by the multiplier x[-1], whose column c is set only in
-                  the fixed case: there the residual adds x[-1] c and the
-                  constraint row -c f - A, with c = -reversed(w(1-alpha)[:m]);
-      CAPUTO    : V = W with row 0 zeroed and column 0 (the point f(a))
-                  below it -w(1-alpha), Q = W^T[1:-1], k = 1.  In the natural
-                  case ts starts at a, where u = f(a) and v = 0 stand in, so
-                  that the natural rows are w(1-alpha) and e_{N-1} on L_2.
+      RIEMANN_A : U = eye(m, N, 1), V = W[1:];
+      RIEMANN_B : U = eye(m), V = W[1:, 1:]; the fixed case borders the
+                  system with the multiplier x[-1], its column
+                  c = -reversed(w(1-alpha)[:m]) and the constraint row
+                  c f + A, so the Jacobian stays symmetric (else c = None);
+      CAPUTO    : U = eye(m, N), V = W[1:] with column 0 (the point f(a))
+                  set to -w(1-alpha).
     """
     form, bnd, N = p.formulation, p.boundary, p.grid.N
     m = N - 1                                  # sum points a+1 .. b-1
     al = p.alpha.alpha
-    ts, k, c = _sum_points(p), 0, None
+    c = None
     W = _toeplitz(weights(-al, m), N)
     if form is Formulation.RIEMANN_A:
-        Mu, Mv, Q = np.eye(m, N, 1), W[1:], W.T[1:, 1:]
+        Mu, Mv = np.eye(m, N, 1), W[1:]
     else:
         w1 = np.array(weights(1 - al, m), dtype=float)
         if form is Formulation.RIEMANN_B:
-            Mu, Mv, Q = np.eye(m), W[1:, 1:], W.T[1:, 1:]
+            Mu, Mv = np.eye(m), W[1:, 1:]
             if bnd.kind == "fixed":
                 c = -w1[m - 1::-1]             # L_2(b)'s column
-                Q = np.vstack([Q, np.zeros(m)])    # the constraint row
         else:
             if N < 3:
                 raise DomainError("CAPUTO residual needs b - a >= 3")
-            Mu = np.eye(N, N, -1)
-            Mu[0, 0] = 1.0
-            Mv = W.copy()
-            Mv[0] = 0.0
-            Mv[1:, 0] = -w1[:m]
-            # rows s = a+1 .. b-2 pair L_1(s+1) with the operator at s
-            Q = W.T[1:-1]
-            if bnd.kind == "natural":
-                ts, k = [p.grid.a] + ts, 2
-                Q = np.vstack([Q, w1, np.eye(1, N, m)])
-            else:
-                # t = a enters only the natural rows
-                Mu, Mv, Q, k = Mu[1:], Mv[1:], Q[:, 1:], 1
+            Mu, Mv = np.eye(m, N), W[1:]
+            Mv[:, 0] = -w1[:m]
 
     free = p._free()
     fixed = _f_vector(p, 0.0)
@@ -574,7 +567,7 @@ def _assembly(p: VariationalProblem):
 
     U, cu = on_x(Mu)
     V, cv = on_x(Mv)
-    return ts, U, cu, V, cv, k, Q, c
+    return _sum_points(p), U, cu, V, cv, np.flatnonzero(U.any(axis=1)), c
 
 
 def _partials(x: np.ndarray, assembly, *ds) -> list:
@@ -587,29 +580,31 @@ def _partials(x: np.ndarray, assembly, *ds) -> list:
 
 
 def _residual(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
-    """The Newton residual (see _assembly)."""
-    *_, k, Q, c = assembly
+    """The gradient of J on the free coordinates, V^T L_2 + U^T L_1,
+    bordered in the RIEMANN_B fixed case (see _assembly)."""
+    _, _, _, V, _, i, c = assembly
     lag = p.lagrangian
     l1, l2 = _partials(x, assembly, lag.d_u, lag.d_v)
-    r = Q @ l2
-    r[:len(l1) - k] += l1[k:]
+    r = V.T @ l2
+    r[:len(i)] += l1[i]
     if c is not None:
         r[:-1] += x[-1] * c
-        r[-1] -= c @ x[:-1] + float(p.boundary.A)
+        r[-1] = c @ x[:-1] + float(p.boundary.A)
     return r
 
 
 def _jacobian(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
-    """Jacobian of _residual by the chain rule through the constant maps."""
-    ts, U, _, V, _, k, Q, c = assembly
+    """The Hessian of J on the free coordinates, V^T (L_uv U + L_vv V) +
+    U^T (L_uu U + L_uv V), bordered in the RIEMANN_B fixed case: symmetric
+    in every formulation."""
+    _, U, _, V, _, i, c = assembly
     lag = p.lagrangian
     duu, duv, dvv = (d[:, None] for d in _partials(
         x, assembly, lag.d_uu, lag.d_uv, lag.d_vv))
-    J = Q @ (duv * U + dvv * V)
-    J[:len(ts) - k] += (duu * U + duv * V)[k:]
+    J = V.T @ (duv * U + dvv * V)
+    J[:len(i)] += (duu * U + duv * V)[i]
     if c is not None:
-        J[:-1, -1] += c
-        J[-1, :-1] -= c
+        J[:-1, -1] = J[-1, :-1] = c
     return J
 
 
@@ -700,7 +695,7 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     grad = gradient_oracle(p, f)
     gvals = np.array(grad.values, dtype=float)
     if constrained:
-        gvals = gvals + lam * c                # the constraint row is -c
+        gvals = gvals + lam * c                # the multiplier's column
     return Solution(f=f, el_residual=el,
                     gradient_norm=float(np.max(np.abs(gvals))),
                     iterations=iterations, converged=converged,

@@ -365,7 +365,7 @@ class TestShiftWorstPoint:
                     bumped = self.bump(getattr(identities, name), side, one)
                     monkeypatch.setattr(identities, name, bumped)
                     monkeypatch.setitem(globals(), name, bumped)
-                f = random_gridfn(random.Random(n), a, b, exact, make)
+                f = random_gridfn(random.Random(n), a, b, make)
                 got = check_shift_properties(f, alpha, a, b)
                 want = pointwise_shift(f, alpha, a, b)
                 monkeypatch.undo()

@@ -592,63 +592,37 @@ class TestAssembly:
     def test_maps_match_probed_operators(self, case, N, anchor):
         form, kind, alpha = case
         p = self.problem(form, kind, alpha, N, anchor)
-        ts, U, cu, V, cv, k, Q, c = _assembly(p)
+        ts, U, cu, V, cv, i, c = _assembly(p)
         a, b = p.grid.a, p.grid.b
-        m = N - 1
         lo, hi = p.f_domain()
         free, fixed = p._free(), _f_vector(p, 0.0)
-        pts = _sum_points(p)
-        caputo = form is Formulation.CAPUTO
-        natural = caputo and kind == "natural"
-        constrained = form is Formulation.RIEMANN_B and kind == "fixed"
         nfree = len(free)
 
-        # slot maps on the sum points; the CAPUTO natural case puts t = a
-        # first.  L_1 from ts[k] on feeds the rows at a+1, ...
-        k0 = 1 if natural else 0
-        assert list(ts[k0:]) == pts
-        assert list(ts[k:]) == (pts[1:] if caputo else pts)
+        # slot maps on the sum points
+        assert list(ts) == _sum_points(p)
         Mu = self.probe(lambda e: GridFn(
-            pts[0], tuple(_u_of(p, e, t) for t in pts)), lo, hi)
+            ts[0], tuple(_u_of(p, e, t) for t in ts)), lo, hi)
         Mv = self.probe(lambda e: _v_fn(p, e), lo, hi)
         for got, off, M in ((U, cu, Mu), (V, cv, Mv)):
-            _close(got[k0:, :nfree], M[:, free])
-            _close(off[k0:], M @ fixed)
+            _close(got[:, :nfree], M[:, free])
+            _close(off, M @ fixed)
             assert not got[:, nfree:].any()
-        if natural:
-            assert ts[0] == a
-            _close(U[0, :nfree], np.eye(N)[0, free])
-            _close(cu[0], fixed[0])
-            assert not V[0].any() and cv[0] == 0
 
-        # the right operator on L_2 over [a+1, b-1]
-        if form is Formulation.RIEMANN_B:
+        # U^T moves rows: row i[k] selects the free coordinate k, and no
+        # other row selects anything
+        assert np.array_equal(U[i], np.eye(len(i), U.shape[1]))
+        assert not np.delete(U, i, axis=0).any()
+
+        # the multiplier's column: L_2(b)'s column of the right operator,
+        # and the terminal fractional sum negated
+        if form is Formulation.RIEMANN_B and kind == "fixed":
             Qx = self.probe(lambda e: caputo_right(
                 e, alpha, b + 1, truncate=True).restrict(a + 1, b - 1),
                 a + 1, b)
-            _close(Q[:m], Qx[:, :m])
-        else:
-            Qr = self.probe(lambda e: nabla_right_riemann(e, alpha, b),
-                            a + 1, b - 1)
-            if natural:
-                assert not Q[:m - 1, 0].any()
-                _close(Q[:m - 1, 1:], Qr[:-1])
-            elif caputo:
-                _close(Q, Qr[:-1])
-            else:
-                _close(Q, Qr)
-
-        # border rows and columns
-        if natural:
-            rs = self.probe(lambda e: nabla_right_sum_fn(e, 1 - alpha, b),
-                            a, b - 1)
-            _close(Q[m - 1:], rs[[0, N - 1]])
-        if constrained:
             row = self.probe(lambda e: nabla_left_sum_fn(
                 e, 1 - alpha, a).restrict(b - 1, b - 1), a + 1, b - 1)[0]
-            _close(c, Qx[:, m])
+            _close(c, Qx[:, N - 1])
             _close(-c, row)
-            assert len(Q) == m + 1 and not Q[m].any()
         else:
             assert c is None
 
@@ -665,14 +639,16 @@ class TestAssembly:
 
         want = list(el_residual(p, f, l2_at_b=lam).values)
         if form is Formulation.CAPUTO and kind == "natural":
-            # L_2 on [a, b-1], with u = f(a) and v = 0 standing in at t = a
-            l2 = [self.LAG.d_v(a, f(a), 0.0)] + [
-                self.LAG.d_v(t, _u_of(p, f, t), _v_fn(p, f)(t))
-                for t in _sum_points(p)]
-            rs = nabla_right_sum_fn(GridFn(a, tuple(l2)), 1 - alpha, b)
-            want += [rs(a), rs(b - 1)]
+            # the rows of f(a) and f(b-1) around those of a+1 .. b-2, with
+            # L_2 on the sum points
+            v = _v_fn(p, f)
+            l2 = [self.LAG.d_v(t, _u_of(p, f, t), v(t))
+                  for t in _sum_points(p)]
+            rs = nabla_right_sum_fn(GridFn(a + 1, tuple(l2)), 1 - alpha, b)
+            want = ([self.LAG.d_u(a + 1, f(a), v(a + 1)) - rs(a + 1)] + want
+                    + [rs(b - 1)])
         if constrained:
-            want.append(nabla_left_sum(f, 1 - alpha, a, b - 1) - 0.8)
+            want.append(0.8 - nabla_left_sum(f, 1 - alpha, a, b - 1))
         assembly = _assembly(p)
         r = _residual(p, x, assembly)
         _close(r, want)
@@ -684,10 +660,67 @@ class TestAssembly:
               - _residual(p, x - h * dx, assembly)) / (2 * h)
         _close(_jacobian(p, x, assembly) @ dx, fd, tol=1e-6)
 
+    @PARAMS
+    def test_residual_is_the_gradient(self, case, N, anchor):
+        # the oracle differences J itself; the constrained residual adds
+        # the multiplier's column to the gradient
+        form, kind, alpha = case
+        p = self.problem(form, kind, alpha, N, anchor)
+        constrained = form is Formulation.RIEMANN_B and kind == "fixed"
+        rng = np.random.default_rng(N + 1)
+        x = rng.uniform(-1, 1, len(p._free()) + constrained)
+        assembly = _assembly(p)
+        g = np.array(gradient_oracle(
+            p, _build_f(p, x[:-1] if constrained else x)).values)
+        r = _residual(p, x, assembly)
+        if constrained:
+            g, r = g + x[-1] * assembly[-1], r[:-1]
+        assert r.shape == g.shape
+        assert np.all(np.abs(r - g) <= 1e-9 * (1 + np.abs(g))), \
+            np.max(np.abs(r - g))
+
+    @PARAMS
+    def test_jacobian_is_symmetric(self, case, N, anchor):
+        form, kind, alpha = case
+        p = self.problem(form, kind, alpha, N, anchor)
+        constrained = form is Formulation.RIEMANN_B and kind == "fixed"
+        x = np.random.default_rng(N + 2).uniform(
+            -1, 1, len(p._free()) + constrained)
+        J = _jacobian(p, x, _assembly(p))
+        assert np.max(np.abs(J - J.T)) <= 1e-14 * np.max(np.abs(J))
+
+    # L = v^2/2 - 0.49 u^2/2 plus a t u or a u v term: the natural problem
+    # then has a nonzero solution, where the rows of f(a) and f(b-1) must
+    # be dJ/df there for the oracle to read zero
+    CAPUTO_NATURAL_LAGS = [
+        Lagrangian("tu", eval=lambda t, u, v: v * v / 2 - 0.49 * u * u / 2
+                   + 0.3 * t * u,
+                   d_u=lambda t, u, v: -0.49 * u + 0.3 * t,
+                   d_v=lambda t, u, v: v,
+                   d_uu=lambda t, u, v: u * 0 - 0.49,
+                   d_uv=lambda t, u, v: u * 0,
+                   d_vv=lambda t, u, v: u * 0 + 1),
+        Lagrangian("uv", eval=lambda t, u, v: v * v / 2 - 0.49 * u * u / 2
+                   + 0.2 * u * v + 0.3 * u,
+                   d_u=lambda t, u, v: -0.49 * u + 0.2 * v + 0.3,
+                   d_v=lambda t, u, v: v + 0.2 * u,
+                   d_uu=lambda t, u, v: u * 0 - 0.49,
+                   d_uv=lambda t, u, v: u * 0 + 0.2,
+                   d_vv=lambda t, u, v: u * 0 + 1),
+    ]
+
+    @pytest.mark.parametrize("anchor", [0.0, 2.0])
+    @pytest.mark.parametrize("N", [8, 32])
+    @pytest.mark.parametrize("lag", CAPUTO_NATURAL_LAGS, ids=lambda l: l.name)
+    def test_caputo_natural_solve_is_stationary(self, lag, N, anchor):
+        p = self.problem(Formulation.CAPUTO, "natural", 0.5, N, anchor, lag)
+        sol = solve(p)
+        assert sol.converged
+        assert sol.gradient_norm <= 1e-9
 
 
 class TestAssemblyAccuracy:
-    """Every entry of the float maps V and Q is one weight of w(-alpha) or
+    """Every entry of the float map V is one weight of w(-alpha) or
     w(1-alpha), never a difference of two: at N = 512 each entry is within
     1e-13 relative of the correctly rounded exact weight.  (TestAssembly
     probes which entry each weight belongs to; this checks its value.)"""
@@ -708,30 +741,23 @@ class TestAssemblyAccuracy:
         form, kind, _ = case
         N, al = 512, rat(alpha)
         p = TestAssembly.problem(form, kind, float(al), N, 0.0)
-        _, _, _, V, _, _, Q, _ = _assembly(p)
+        V = _assembly(p)[3]
         W = self.rounded_toeplitz(weights(-al, N - 1))
         w1 = np.array([float(x) for x in weights(1 - al, N - 1)])
-        if form is Formulation.RIEMANN_A:
-            want_v, want_q = W[1:], W.T[1:, 1:]
-        elif form is Formulation.RIEMANN_B:
-            want_v, want_q = W[1:, 1:], W.T[1:, 1:]
-            Q = Q[:N - 1]                      # less the constraint row
+        if form is Formulation.RIEMANN_B:
+            want = W[1:, 1:]
         else:
-            want_v = W.copy()
-            want_v[0] = 0.0
-            want_v[1:, 0] = -w1[:-1]           # the point f(a)
-            want_q = W.T[1:-1]
-            if kind == "natural":
-                want_q = np.vstack([want_q, w1, np.eye(1, N, N - 1)])
-            else:
-                want_v, want_q = want_v[1:], want_q[:, 1:]
+            want = W[1:]
+            if form is Formulation.CAPUTO:
+                want[:, 0] = -w1[:-1]          # the point f(a)
         free = p._free()
-        for got, want in ((V[:, :len(free)], want_v[:, free]), (Q, want_q)):
-            assert got.shape == want.shape
-            nz = want != 0
-            assert not got[~nz].any()
-            rel = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
-            assert rel.max() <= 1e-13, rel.max()
+        got, want = V[:, :len(free)], want[:, free]
+        assert got.shape == want.shape
+        nz = want != 0
+        assert not got[~nz].any()
+        rel = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
+        assert rel.max() <= 1e-13, rel.max()
+
 
 class TestPointwiseReference:
     """action, first_variation, el_residual and el_residual_forms read their
@@ -929,6 +955,16 @@ class TestOracleReference:
         for g, w in zip(got.values, want.values):
             assert abs(g - w) <= 1e-6 * (1 + abs(w))
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_no_free_coordinate_rejected(self, exact):
+        # CAPUTO fixed at N = 2 fixes both points of its f_domain
+        A, B = (rat("1"), rat("1/2")) if exact else (1.0, 0.5)
+        p = make_problem(Formulation.CAPUTO, Boundary("fixed", A=A, B=B),
+                         N=2, exact=exact)
+        assert not p._free()
+        with pytest.raises(DomainError, match="no free coordinate"):
+            gradient_oracle(p, GridFn(0, (A, B)))
+
 
 class TestProbeRows:
     """The oracle's probe rows are the slots of the basis functions e_u:
@@ -1060,29 +1096,19 @@ def _assembly_by_index_matrix(p):
     form, bnd, N = p.formulation, p.boundary, p.grid.N
     m = N - 1
     al = p.alpha.alpha
-    ts, k, c = _sum_points(p), 0, None
+    c = None
     W = _toeplitz_by_index_matrix(weights(-al, m), N)
     if form is Formulation.RIEMANN_A:
-        Mu, Mv, Q = np.eye(m, N, 1), W[1:], W.T[1:, 1:]
+        Mu, Mv = np.eye(m, N, 1), W[1:]
     else:
         w1 = np.array(weights(1 - al, m), dtype=float)
         if form is Formulation.RIEMANN_B:
-            Mu, Mv, Q = np.eye(m), W[1:, 1:], W.T[1:, 1:]
+            Mu, Mv = np.eye(m), W[1:, 1:]
             if bnd.kind == "fixed":
                 c = -w1[m - 1::-1]
-                Q = np.vstack([Q, np.zeros(m)])
         else:
-            Mu = np.eye(N, N, -1)
-            Mu[0, 0] = 1.0
-            Mv = W.copy()
-            Mv[0] = 0.0
-            Mv[1:, 0] = -w1[:m]
-            Q = W.T[1:-1]
-            if bnd.kind == "natural":
-                ts, k = [p.grid.a] + ts, 2
-                Q = np.vstack([Q, w1, np.eye(1, N, m)])
-            else:
-                Mu, Mv, Q, k = Mu[1:], Mv[1:], Q[:, 1:], 1
+            Mu, Mv = np.eye(m, N), W[1:]
+            Mv[:, 0] = -w1[:m]
     free = p._free()
     fixed = _f_vector(p, 0.0)
     nx = len(free) + int(c is not None)
@@ -1094,7 +1120,7 @@ def _assembly_by_index_matrix(p):
 
     U, cu = on_x(Mu)
     V, cv = on_x(Mv)
-    return ts, U, cu, V, cv, k, Q, c
+    return _sum_points(p), U, cu, V, cv, np.flatnonzero(U.any(axis=1)), c
 
 
 class TestAssemblyFromSlices:
@@ -1121,8 +1147,8 @@ class TestAssemblyFromSlices:
     def test_maps_bit_identical(self, case, N):
         p = TestAssembly.problem(*case, N, 1 / 3)
         got, want = _assembly(p), _assembly_by_index_matrix(p)
-        assert got[0] == want[0] and got[5] == want[5]
-        for g, w in zip(got[1:5] + got[6:], want[1:5] + want[6:]):
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
             if w is None:
                 assert g is None
             else:
