@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .backend import format_scalar, parse_scalar, rational
 from .grid import (DomainError, Grid, _offset, read_gridfn_csv,
                    write_gridfn_csv)
@@ -36,9 +38,10 @@ EXIT_USAGE = 2
 # operator name -> (callable(f, alpha, anchor), anchor side).  The nabla
 # and Caputo outputs lie on the input's points and are published there, as
 # f.lo + (i + k) for the output's row k starting i points into the input
-# ((f.lo + i) + k can round to another float); the delta operators' points
-# are s +- alpha by definition and keep the points their anchor arithmetic
-# gives.
+# ((f.lo + i) + k can round to another float; in the rational backend the
+# two are equal, and so are the output's own points); the delta operators'
+# points are s +- alpha by definition and keep the points their anchor
+# arithmetic gives.
 _OPERATORS = {
     "nabla-left-sum": (nabla_left_sum_fn, "a"),
     "nabla-right-sum": (nabla_right_sum_fn, "b"),
@@ -121,9 +124,9 @@ def _cmd_apply(args) -> int:
         elif args.operator == "nabla-right-sum":
             out = out.restrict(out.lo, anchor - 1)
         points = None
-        if not args.operator.startswith("delta-"):
+        if not exact and not args.operator.startswith("delta-"):
             i = _offset(out.lo, f.lo)
-            points = (f.lo + (i + k) for k in range(len(out)))
+            points = (f.lo + np.arange(i, i + len(out), dtype=float)).tolist()
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -5,13 +5,19 @@ real (any rational in exact mode), so functions on shifted grids such as
 a + alpha + Z are first-class.  Out-of-domain evaluation raises DomainError;
 nothing is ever silently read as zero.  Two points are only ever compared
 through _offset, their integer distance (float distances snap within 1e-9),
-so a float anchor such as 0.1 behaves exactly like 0.
+so a float anchor such as 0.1 behaves exactly like 0.  The one exception is
+the float CSV reader, which applies _offset's test to its whole t column at
+once in numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from functools import partial
+from itertools import islice, repeat
+from operator import contains, mul
 from typing import Iterator
+
+import numpy as np
 
 from .backend import _integers, format_scalar, parse_scalar, rational
 
@@ -19,6 +25,7 @@ __all__ = ["DomainError", "Grid", "GridFn", "shift_rho", "shift_sigma",
            "dot", "inner_sum", "read_gridfn_csv", "write_gridfn_csv"]
 
 _FLOAT_SNAP = 1e-9
+_CSV_BLOCK = 4096  # CSV rows read or written per block
 
 
 class DomainError(ValueError):
@@ -29,7 +36,11 @@ def _offset(t, lo) -> int:
     """Integer offset of t from lo; DomainError if t is off-grid."""
     d = t - lo
     if isinstance(d, float):
-        k = round(d)
+        try:
+            k = round(d)
+        except (OverflowError, ValueError):  # d is inf or nan
+            raise DomainError(
+                f"point {t} is not on the grid anchored at {lo}") from None
         if abs(d - k) > _FLOAT_SNAP:
             raise DomainError(f"point {t} is not on the grid anchored at {lo}")
         return k
@@ -126,31 +137,59 @@ def inner_sum(f: GridFn, g: GridFn, lo, hi):
 
 
 def write_gridfn_csv(f: GridFn, path, points=None) -> None:
-    """Write f as "t,value" rows.  The t column is f.points() unless
-    points, the same points formed another way, is given."""
+    """Write f as "t,value" rows, each scalar as `format_scalar` writes it.
+    The t column is f.points() unless points, the same points formed
+    another way, is given.  Rows are formatted _CSV_BLOCK at a time, floats
+    by one "%.17g" format of the block."""
+    points = iter(f.points() if points is None else points)
     with open(path, "w") as out:
         out.write("t,value\n")
-        for t, v in zip(f.points() if points is None else points, f.values):
-            out.write(f"{format_scalar(t)},{format_scalar(v)}\n")
+        for i in range(0, len(f.values), _CSV_BLOCK):
+            values = f.values[i:i + _CSV_BLOCK]
+            cells = [None] * (2 * len(values))
+            cells[0::2] = islice(points, len(values))
+            cells[1::2] = values
+            if {*map(type, cells)} == {float}:
+                out.write("%.17g,%.17g\n" * len(values) % tuple(cells))
+            else:
+                out.write("%s,%s\n" * len(values)
+                          % tuple(map(format_scalar, cells)))
 
 
 def read_gridfn_csv(path, exact: bool) -> GridFn:
+    """Read a "t,value" CSV, _CSV_BLOCK rows at a time.  Blank lines and
+    whitespace around fields are ignored; float mode also accepts "p/q".
+    The t column must step by 1 from its first point (within _FLOAT_SNAP in
+    floats); ValueError otherwise."""
     with open(path) as src:
         header = src.readline().strip()
         if header != "t,value":
             raise ValueError(f"bad GridFn CSV header: {header!r}")
         points, values = [], []
-        for line in src:
-            line = line.strip()
-            if not line:
+        while lines := list(islice(src, _CSV_BLOCK)):
+            rows = list(filter(None, map(str.strip, lines)))
+            if not rows:
                 continue
-            t_text, v_text = line.split(",")
-            points.append(parse_scalar(t_text, exact))
-            values.append(parse_scalar(v_text, exact))
+            text = ",".join(rows)
+            tokens = text.split(",")
+            # a comma in every row and as many commas as rows: one in each
+            if (len(tokens) != 2 * len(rows)
+                    or not all(map(contains, rows, repeat(",")))):
+                raise ValueError("GridFn CSV rows must have two fields")
+            parse = (float if not exact and "/" not in text
+                     else partial(parse_scalar, exact=exact))
+            points += map(parse, tokens[0::2])
+            values += map(parse, tokens[1::2])
     if not points:
         raise ValueError("empty GridFn CSV")
-    f = GridFn(points[0], tuple(values))
-    for k, t in enumerate(points):
-        if _offset(t, f.lo) != k:
-            raise ValueError("GridFn CSV rows must ascend in exact unit steps")
-    return f
+    lo = points[0]
+    if exact:
+        on_grid = list(map(_offset, points, repeat(lo))) == list(
+            range(len(points)))
+    else:
+        with np.errstate(all="ignore"):  # inf and nan fail the test below
+            d = np.array(points) - lo - np.arange(len(points))
+        on_grid = bool(np.all(np.abs(d) <= _FLOAT_SNAP))
+    if not on_grid:
+        raise ValueError("GridFn CSV rows must ascend in exact unit steps")
+    return GridFn(lo, values)

@@ -136,6 +136,28 @@ class TestApply:
         assert len(out[0.1]) == len(vals)
         assert out[0.1] == out[0.0]
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_t_exit_2(self, tmp_path, capsys, bad):
+        src = tmp_path / "in.csv"
+        src.write_text(f"t,value\n0,1\n1,2\n{bad},3\n")
+        code = main(["apply", "nabla-left-sum", "--alpha", "1/2", "--a",
+                     "-1", "--input", str(src), "--output",
+                     str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad input")
+
+    @pytest.mark.parametrize("op,anchor", [
+        ("nabla-left-sum", "--a=inf"), ("nabla-left-sum", "--a=nan"),
+        ("nabla-right-sum", "--b=inf"), ("caputo-left", "--a=-inf"),
+        ("delta-right-riemann", "--b=nan")])
+    def test_non_finite_anchor_exit_1(self, tmp_path, capsys, op, anchor):
+        src = tmp_path / "in.csv"
+        write_ones(src, exact=False)
+        code = main(["apply", op, "--alpha", "1/2", anchor, "--input",
+                     str(src), "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: point ")
+
     def test_missing_anchor_exit_2(self, tmp_path):
         src = tmp_path / "in.csv"
         write_ones(src)

@@ -1,12 +1,16 @@
 import random
+import warnings
 from operator import mul
 
+import numpy as np
 import pytest
 
-from nablafrac.backend import format_scalar, rational
-from nablafrac.grid import (DomainError, Grid, GridFn, _offset, dot,
-                            inner_sum, read_gridfn_csv, shift_rho,
+from nablafrac.backend import format_scalar, parse_scalar, rational
+from nablafrac.cli import _OPERATORS
+from nablafrac.grid import (_CSV_BLOCK, DomainError, Grid, GridFn, _offset,
+                            dot, inner_sum, read_gridfn_csv, shift_rho,
                             shift_sigma, write_gridfn_csv)
+from nablafrac.numerics import FracOrder
 
 
 class TestGrid:
@@ -49,6 +53,20 @@ class TestOffset:
     def test_off_grid_exact_point(self, t, lo):
         with pytest.raises(DomainError):
             _offset(t, lo)
+
+    @pytest.mark.parametrize("t,lo", [
+        (float("inf"), 0.0), (float("-inf"), 0.0), (float("nan"), 0.0),
+        (1.0, float("inf")), (1.0, float("nan")),
+        (float("inf"), float("inf")),
+    ])
+    def test_non_finite_float_point(self, t, lo):
+        with pytest.raises(DomainError):
+            _offset(t, lo)
+
+    @pytest.mark.parametrize("b", [float("inf"), float("nan")])
+    def test_non_finite_grid_end(self, b):
+        with pytest.raises(DomainError):
+            Grid(0.0, b)
 
 
 class TestGridFn:
@@ -191,3 +209,180 @@ class TestCsv:
         assert format_scalar(rational("-4/6")) == "-2/3"
         assert format_scalar(rational("5")) == "5/1"
         assert format_scalar(0.1) == "0.10000000000000001"
+
+
+def _reference_read(path, exact):
+    """The row-by-row reader that read_gridfn_csv replaced: one
+    parse_scalar per token and one _offset per row."""
+    with open(path) as src:
+        header = src.readline().strip()
+        if header != "t,value":
+            raise ValueError(f"bad GridFn CSV header: {header!r}")
+        points, values = [], []
+        for line in src:
+            line = line.strip()
+            if not line:
+                continue
+            t_text, v_text = line.split(",")
+            points.append(parse_scalar(t_text, exact))
+            values.append(parse_scalar(v_text, exact))
+    if not points:
+        raise ValueError("empty GridFn CSV")
+    f = GridFn(points[0], tuple(values))
+    for k, t in enumerate(points):
+        if _offset(t, f.lo) != k:
+            raise ValueError("GridFn CSV rows must ascend in exact unit steps")
+    return f
+
+
+def _reference_write(f, points=None):
+    """The CSV text of the row-by-row writer that write_gridfn_csv
+    replaced: format_scalar on every t and every value."""
+    rows = zip(f.points() if points is None else points, f.values)
+    return "t,value\n" + "".join(
+        f"{format_scalar(t)},{format_scalar(v)}\n" for t, v in rows)
+
+
+def _bits(f):
+    """lo and values by type and repr, so -0.0, nan and Fraction vs float
+    all count."""
+    return [(type(x), repr(x)) for x in (f.lo, *f.values)]
+
+
+def _rows(n, lo=0.0):
+    rng = random.Random(n)
+    return ["%.17g,%.17g" % (lo + k, rng.uniform(-1e3, 1e3))
+            for k in range(n)]
+
+
+_B = _CSV_BLOCK
+# name -> CSV body after the header
+READ_CASES = {
+    "blank-lines": "0,1\n\n1,2\n   \n\t\n2,3\n\n",
+    "blank-lines-at-block-boundary": "\n".join(
+        _rows(_B - 1) + [""] * (_B + 2) + _rows(3, lo=_B - 1.0)
+        + [""]) + "\n",
+    "whitespace-and-crlf": " 0 , 1.5 \r\n\t1,\t-2\r\n2 ,3e-3\r\n",
+    "p/q-tokens": "0,1/3\n1,-2/7\n2,0.5\n3,5\n",
+    "p/q-t-column": "1/3,1\n4/3,2/9\n7/3,3\n",
+    "p/q-in-second-block-only": "\n".join(
+        _rows(_B) + [f"{_B},1/3"]) + "\n",
+    "rows-block-minus-1": "\n".join(_rows(_B - 1)) + "\n",
+    "rows-block": "\n".join(_rows(_B)) + "\n",
+    "rows-block-plus-1": "\n".join(_rows(_B + 1)) + "\n",
+    "snap-accepted": "0,1\n1,2\n2.0000000005,3\n3,4\n",
+    "snap-rejected": "0,1\n1,2\n2.000000002,3\n3,4\n",
+    "anchor-0.1": "\n".join(_rows(40, lo=0.1)) + "\n",
+    "anchor-minus-2.3": "\n".join(_rows(40, lo=-2.3)) + "\n",
+    "integer-t-column": "0,1\n1,-0\n2,inf\n3,nan\n4,5e-324\n",
+    "one-field-row": "0,1\n1\n2,3\n",
+    "three-field-row": "0,1\n1,2,3\n2,3\n",
+    "three-field-row-t-column-on-grid": "0,7,1\n8,2\n",
+    # the two fields too many and too few would make a unit-step grid if
+    # the rows were split as one
+    "three-then-one-field": "0,1,1\n2\n2,3\n",
+    "one-then-three-field": "0,1\n1\n1,2,3\n",
+    "steps-of-two": "0,1\n2,2\n",
+    "descending": "1,1\n0,2\n",
+    "bad-token": "0,1\n1,x\n",
+    "only-blank-lines": "\n\n  \n",
+}
+
+
+class TestCsvBlocks:
+    """The block reader and writer against the row-by-row ones they
+    replaced: the same values (or the same ValueError) and the same
+    bytes."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("name", list(READ_CASES))
+    def test_read_matches_row_reader(self, tmp_path, name, exact):
+        path = tmp_path / "f.csv"
+        path.write_bytes(("t,value\n" + READ_CASES[name]).encode())
+        try:
+            want = _bits(_reference_read(path, exact))
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_gridfn_csv(path, exact)
+            return
+        assert _bits(read_gridfn_csv(path, exact)) == want
+
+    @pytest.mark.parametrize("name,valid", [
+        ("snap-accepted", True), ("snap-rejected", False),
+        ("anchor-0.1", True), ("three-then-one-field", False),
+        ("one-then-three-field", False),
+        ("blank-lines-at-block-boundary", True)])
+    def test_read_cases_in_float_mode(self, tmp_path, name, valid):
+        # the comparison above must see both outcomes
+        path = tmp_path / "f.csv"
+        path.write_text("t,value\n" + READ_CASES[name])
+        if valid:
+            assert len(read_gridfn_csv(path, False)) > 1
+        else:
+            with pytest.raises(ValueError):
+                read_gridfn_csv(path, False)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e308"])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_t_is_value_error(self, tmp_path, bad, row):
+        # 1e308 - (-1e308) overflows to inf; no numpy warning escapes
+        t = ["-1e308" if bad == "1e308" else "0", "1", "2", "3"]
+        t[row] = bad
+        path = tmp_path / "f.csv"
+        path.write_text("t,value\n" + "".join(f"{x},1\n" for x in t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                read_gridfn_csv(path, False)
+
+    @pytest.mark.parametrize("lo", [0.0, 1e17, -2.3, rational(1, 3), 5],
+                             ids=["0", "1e17", "-2.3", "1/3", "int-5"])
+    def test_write_matches_format_scalar(self, tmp_path, lo):
+        rng = random.Random(5)
+        special = (-0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+                   -2.5e17, 1e17, 0.1, 1 / 3)
+        values = special + tuple(rng.uniform(-1, 1) * 10 ** rng.randint(
+            -20, 20) for _ in range(2 * _B))
+        for vals in (values, values[:_B - 1] + (7,) + values[_B:]):
+            f = GridFn(lo, vals)
+            path = tmp_path / "f.csv"
+            write_gridfn_csv(f, path)
+            assert path.read_bytes() == _reference_write(f).encode()
+
+    def test_write_explicit_points(self, tmp_path):
+        values = tuple(float(k) for k in range(_B + 3))
+        f = GridFn(0.1, values)
+        points = (0.1 + np.arange(len(values), dtype=float)).tolist()
+        path = tmp_path / "f.csv"
+        write_gridfn_csv(f, path, points)
+        assert path.read_bytes() == _reference_write(f, points).encode()
+
+    def test_write_int_values_as_rationals(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_gridfn_csv(GridFn(0, (1, -2, 3)), path)
+        assert path.read_text() == "t,value\n0/1,1/1\n1/1,-2/1\n2/1,3/1\n"
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("op", sorted(_OPERATORS))
+    def test_operator_output_matches_format_scalar(self, tmp_path, op,
+                                                   exact):
+        rng = random.Random(op)
+        if exact:
+            lo, n = rational(1, 3), 40
+            values = tuple(rational(rng.randint(-99, 99), rng.randint(1, 9))
+                           for _ in range(n))
+        else:
+            lo, n = 1 / 3, _B + 5
+            values = tuple(rng.uniform(-1, 1) for _ in range(n))
+        fn, side = _OPERATORS[op]
+        offset = 0 if op.startswith("caputo") else 1
+        anchor = lo - offset if side == "a" else lo + (n - 1 + offset)
+        for alpha in ("1/2", "3/2"):
+            out = fn(GridFn(lo, values), FracOrder.parse(alpha, exact),
+                     anchor)
+            path = tmp_path / "f.csv"
+            write_gridfn_csv(out, path)
+            assert path.read_bytes() == _reference_write(out).encode()
+            if not exact:
+                assert _bits(read_gridfn_csv(path, False)) == _bits(
+                    _reference_read(path, False))
