@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as _rat
+from operator import attrgetter
 
 __all__ = [
     "rational",
@@ -22,6 +23,8 @@ __all__ = [
 
 def rational(p, q=1):
     """Exact rational p/q.  Accepts ints, 'p/q' strings and other rationals."""
+    if q == 1 and type(p) is int:
+        return _rat(p)  # Fraction(int) skips the gcd
     if isinstance(p, str):
         r = _rat(p)
         return r / _rat(q) if q != 1 else r
@@ -59,8 +62,15 @@ def format_scalar(x) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
 def _integers(values):
     """(X, L) with values[i] = X[i] / L: the integer numerators of exact
     values over their common denominator L."""
-    L = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (L // v.denominator) for v in values], L
+    dens = list(map(_denominator, values))
+    L = math.lcm(*dens)
+    if L == 1:  # integer values, such as verify's random inputs
+        return list(map(_numerator, values)), 1
+    return [v.numerator * (L // q) for v, q in zip(values, dens)], L

@@ -6,12 +6,15 @@ variational problem from a JSON config), sweep (solve across an alpha list
 and emit an aggregated table).
 
 Exit codes: 0 success, 1 verification or convergence failure, 2 usage or
-parse error.
+parse error, 141 when standard output is closed before the run ends (as in
+`nablafrac verify | head -1`; 141 = 128 + SIGPIPE, what a shell reports for
+a command that a closed pipe ends).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +37,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141
 
 # operator name -> (callable(f, alpha, anchor), anchor side).  The nabla
 # and Caputo outputs lie on the input's points and are published there, as
@@ -65,8 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = sub.add_parser("apply", help="apply one operator to a GridFn CSV")
     ap.add_argument("operator", choices=sorted(_OPERATORS))
     ap.add_argument("--alpha", required=True, help="order, 'p/q' or decimal")
-    ap.add_argument("--a", help="left anchor (left operators)")
-    ap.add_argument("--b", help="right anchor (right operators)")
+    ap.add_argument("--a", help="left anchor (left operators); a negative "
+                    "fraction needs the '=' form, --a=-2/3")
+    ap.add_argument("--b", help="right anchor (right operators); a negative "
+                    "fraction needs the '=' form, --b=-2/3")
     ap.add_argument("--backend", choices=("float", "rational"),
                     default="float")
     ap.add_argument("--input", required=True)
@@ -77,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="rational")
     vp.add_argument("--trials", type=int, default=5)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--a", default="0", help="grid start (default 0)")
+    vp.add_argument("--a", default="0", help="grid start (default 0); a "
+                    "negative fraction needs the '=' form, --a=-2/3")
     vp.add_argument("--output", help="report path (default stdout)")
 
     sp = sub.add_parser("solve", help="solve a variational problem")
@@ -265,10 +272,19 @@ _COMMANDS = {"apply": _cmd_apply, "verify": _cmd_verify,
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        code = _COMMANDS[args.subcommand](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so that the
+        # interpreter's own flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

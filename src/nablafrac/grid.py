@@ -4,14 +4,16 @@ Points live on an arithmetic progression with step 1 whose anchor may be any
 real (any rational in exact mode), so functions on shifted grids such as
 a + alpha + Z are first-class.  Out-of-domain evaluation raises DomainError;
 nothing is ever silently read as zero.  Two points are only ever compared
-through _offset, their integer distance (float distances snap within 1e-9),
-so a float anchor such as 0.1 behaves exactly like 0.  The one exception is
-the float CSV reader, which applies _offset's test to its whole t column at
-once in numpy.
+through _offset, their integer distance: two Fractions over one denominator
+by the difference of their numerators, in integers; any other pair by its
+difference, with float distances snapping within 1e-9, so a float anchor
+such as 0.1 behaves exactly like 0.  The one exception is the float CSV
+reader, which applies _offset's test to its whole t column at once in numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from itertools import islice, repeat
 from operator import contains, mul
@@ -33,7 +35,17 @@ class DomainError(ValueError):
 
 
 def _offset(t, lo) -> int:
-    """Integer offset of t from lo; DomainError if t is off-grid."""
+    """Integer offset of t from lo; DomainError if t is off-grid.  Two
+    Fractions over one denominator q are compared by their numerators,
+    as divmod(t.numerator - lo.numerator, q); every other pair by t - lo."""
+    if type(t) is Fraction and type(lo) is Fraction:
+        q = t.denominator
+        if q == lo.denominator:
+            k, r = divmod(t.numerator - lo.numerator, q)
+            if r:
+                raise DomainError(
+                    f"point {t} is not on the grid anchored at {lo}")
+            return k
     d = t - lo
     if isinstance(d, float):
         try:

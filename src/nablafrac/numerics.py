@@ -143,7 +143,10 @@ def weights(beta, K: int):
     beta = _order_value(beta)
     if isinstance(beta, int):
         beta = rational(beta)  # keep the recurrence division exact
-    key = (isinstance(beta, float), beta)
+    # a rational order is keyed by its integers: hashing a Fraction costs
+    # about a microsecond, and the key is hashed twice per call
+    key = (beta if isinstance(beta, float)
+           else (beta.numerator, beta.denominator))
     entry = _weight_cache.pop(key, None)
     if entry is None:
         entry = [[beta * 0 + 1], None, None]

@@ -1,10 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nablafrac.backend import rational
 from nablafrac.cli import main
 from nablafrac.grid import GridFn, read_gridfn_csv, write_gridfn_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_ones(path, lo=0, n=6, exact=True):
@@ -199,8 +206,43 @@ class TestVerify:
                          "--seed", "9", "--output", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # sha256 of the report, pinned so that a change to the exact path that
+    # moves a single byte of it fails here
+    @pytest.mark.parametrize("a,digest", [
+        ("0", "7771751478c2f5fa5fe0faa8941e5628"
+              "bbf1442d1d65d6d604a4adaf88f4a70e"),
+        ("1/3", "d460d267fc52a396c079ac6e26fbe41a"
+                "fee9cde5ca56eb3a543ee01252f839e2"),
+    ])
+    def test_pinned_rational_report(self, tmp_path, a, digest):
+        rep = tmp_path / "rep.jsonl"
+        assert main(["verify", "--backend", "rational", "--trials", "1",
+                     "--seed", "9", f"--a={a}", "--output", str(rep)]) == 0
+        text = rep.read_bytes()
+        assert text.count(b"\n") == 748
+        assert hashlib.sha256(text).hexdigest() == digest
+
     def test_zero_trials_exit_2(self):
         assert main(["verify", "--trials", "0"]) == 2
+
+    def test_closed_stdout_exit_141(self):
+        # the default run writes ~400 kB, far past a pipe's buffer, so the
+        # process is still writing when the reader goes
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nablafrac.cli", "verify"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert json.loads(first)["identity_id"] == "P21"
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestSolve:

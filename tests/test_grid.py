@@ -1,5 +1,6 @@
 import random
 import warnings
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -62,6 +63,46 @@ class TestOffset:
     def test_non_finite_float_point(self, t, lo):
         with pytest.raises(DomainError):
             _offset(t, lo)
+
+    # Fractions over one denominator take _offset's integer path; every
+    # other pair, its subtraction.  Both must give what one Fraction
+    # subtraction gives: the same int, or a DomainError with the same text.
+    @pytest.mark.parametrize("t,lo", [
+        (Fraction(7, 3), Fraction(1, 3)),             # one denominator
+        (Fraction(4, 3), Fraction(2, 3)),             # ... off the grid
+        (Fraction(1, 3), Fraction(7, 3)),             # negative offsets
+        (Fraction(-5, 3), Fraction(1, 3)),
+        (Fraction(-1, 3), Fraction(1, 3)),            # ... off the grid
+        (Fraction(-4, 3), Fraction(2, 3)),
+        (Fraction(-7), Fraction(5)),                  # denominator 1
+        (Fraction(3 * 10**20 + 1, 3), Fraction(1, 3)),
+        (Fraction(7, 2), Fraction(1, 3)),             # unequal denominators
+        (Fraction(5), Fraction(1, 2)),
+        (Fraction(-1, 6), Fraction(5, 6) - 1),
+        (5, Fraction(2)),                             # int / Fraction mixes
+        (Fraction(5), 2),
+        (-4, Fraction(3)),
+        (3, Fraction(1, 3)),
+        (Fraction(7, 3), 1),
+        (4, 9),
+    ])
+    def test_matches_fraction_subtraction(self, t, lo):
+        def by_subtraction(t, lo):
+            d = Fraction(t) - Fraction(lo)
+            if d.denominator != 1:
+                raise DomainError(
+                    f"point {t} is not on the grid anchored at {lo}")
+            return d.numerator
+
+        try:
+            want = by_subtraction(t, lo)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                _offset(t, lo)
+            assert str(got.value) == str(exc)
+        else:
+            got = _offset(t, lo)
+            assert type(got) is int and got == want
 
     @pytest.mark.parametrize("b", [float("inf"), float("nan")])
     def test_non_finite_grid_end(self, b):

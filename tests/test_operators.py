@@ -1,5 +1,7 @@
 import decimal
 import random
+from fractions import Fraction
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from nablafrac import numerics, operators
 from nablafrac.backend import format_scalar, rational
-from nablafrac.grid import DomainError, GridFn
+from nablafrac.cli import _OPERATORS
+from nablafrac.grid import DomainError, GridFn, write_gridfn_csv
 from nablafrac.identities import FLOAT_TOLERANCE
 from nablafrac.numerics import FracOrder, minus_delta_n, nabla_n, weights
 from nablafrac.operators import (caputo_left, caputo_right,
@@ -287,6 +290,92 @@ class TestExactKernel:
                 assert list(map(format_scalar, got)) == \
                     list(map(format_scalar, want))
                 assert {type(v) for v in got} == {type(rat("1"))}
+
+
+def fraction_weight(beta, k):
+    """w_k(beta) = prod_{j=1}^{k} (j + beta - 1)/j, without `weights`."""
+    w = Fraction(1)
+    for j in range(1, k + 1):
+        w *= (j + beta - 1) / j
+    return w
+
+
+def direct_operator(name, f, alpha, a, b):
+    """(points, values) of one of the ten operators on f over [a, b], each
+    value a double sum of Fractions over the operator's definition."""
+    av, n = alpha.alpha, alpha.n
+    idx = range(len(f))                  # f(a + i) is f.values[i]
+
+    def left(x, beta, first, i):         # sum_{s=first}^{i} w_{i-s} x(s)
+        return sum((fraction_weight(beta, i - s) * x(s)
+                    for s in range(first, i + 1)), Fraction(0))
+
+    def right(x, beta, last, i):         # sum_{s=i}^{last} w_{s-i} x(s)
+        return sum((fraction_weight(beta, s - i) * x(s)
+                    for s in range(i, last + 1)), Fraction(0))
+
+    def fv(i):
+        return f.values[i]
+
+    def backward(s):                     # (nabla^n f)(a + s)
+        return sum(comb(n, j) * (-1) ** j * fv(s - j) for j in range(n + 1))
+
+    def forward(s):                      # ((-1)^n Delta^n f)(a + s)
+        return sum(comb(n, j) * (-1) ** j * fv(s + j) for j in range(n + 1))
+
+    N = len(f) - 1
+    table = {
+        "nabla-left-sum": (0, [left(fv, av, 1, i) for i in idx]),
+        "nabla-right-sum": (0, [right(fv, av, N - 1, i) for i in idx]),
+        "nabla-left-riemann": (1, [left(fv, -av, 1, i) for i in idx[1:]]),
+        "nabla-right-riemann": (0, [right(fv, -av, N - 1, i)
+                                    for i in idx[:-1]]),
+        "caputo-left": (n, [left(backward, n - av, n, i) for i in idx[n:]]),
+        "caputo-right": (0, [right(forward, n - av, N - n, i)
+                             for i in idx[:-n]]),
+        "delta-left-sum": (1 + av, [left(fv, av, 1, i) for i in idx[1:]]),
+        "delta-right-sum": (-av, [right(fv, av, N - 1, i)
+                                  for i in idx[:-1]]),
+        "delta-left-riemann": (1 - av, [left(fv, -av, 1, i)
+                                        for i in idx[1:]]),
+        "delta-right-riemann": (av, [right(fv, -av, N - 1, i)
+                                     for i in idx[:-1]]),
+    }
+    shift, values = table[name]
+    return a + shift, values
+
+
+class TestExactOutputs:
+    """Every exact operator output is a plain tuple of reduced Fractions,
+    equal to the operator's definition summed in Fractions, and writes the
+    CSV bytes of those Fractions."""
+
+    @pytest.mark.parametrize("name", sorted(_OPERATORS))
+    @pytest.mark.parametrize("alpha_text", ["1/3", "1/2", "3/2", "5/2"])
+    @pytest.mark.parametrize("a_text", ["0", "1/3", "-2/3"])
+    @pytest.mark.parametrize("integer_values", [True, False])
+    def test_plain_fractions_equal_direct_sums(self, tmp_path, name,
+                                               alpha_text, a_text,
+                                               integer_values):
+        rng = random.Random(f"{name}:{alpha_text}:{a_text}")
+        alpha, a = FracOrder(rat(alpha_text)), rat(a_text)
+        b = a + 9
+        f = GridFn(a, tuple(
+            rational(rng.randint(-9, 9),
+                     1 if integer_values else rng.randint(1, 6))
+            for _ in range(10)))
+        op, side = _OPERATORS[name]
+        out = op(f, alpha, a if side == "a" else b)
+        lo, values = direct_operator(name, f, alpha, a, b)
+        assert type(out.values) is tuple
+        assert all(type(v) is Fraction and v.denominator > 0
+                   and gcd(v.numerator, v.denominator) == 1
+                   for v in out.values)
+        assert out.lo == lo and out.values == tuple(values)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_gridfn_csv(out, got)
+        write_gridfn_csv(GridFn(lo, tuple(values)), want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestOperatorMatrix:
