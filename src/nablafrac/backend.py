@@ -58,8 +58,9 @@ def format_scalar(x) -> str:
     values, 17 significant decimal digits (round-trip safe) for floats."""
     if isinstance(x, float):
         return f"{x:.17g}"
-    r = _rat(x)
-    return f"{r.numerator}/{r.denominator}"
+    if not isinstance(x, (_rat, int)):  # a Fraction is already reduced
+        x = _rat(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 _numerator = attrgetter("numerator")

@@ -15,24 +15,29 @@ Three formulations are supported for J(f) = sum_{t=a+1}^{b-1} L(t, u, v):
 Newton's residual is the gradient of J on the free coordinates and its
 Jacobian the symmetric Hessian, bordered by the multiplier in the RIEMANN_B
 fixed case, both from the slot maps of _assembly; at interior points the
-gradient is the Euler-Lagrange residual.  The GridFn Euler-Lagrange residual
-(el_residual) and the gradient oracle, which recomputes the derivatives by
-direct differencing of J, are independent references that never touch
-those maps; they read values by offset slices, not point by point.  The
-oracle reads f's slot values once; the slots are linear in f, so those of
-f bumped at a free coordinate u are f's plus a multiple of the slots of
-the basis function e_u.  Past the first free coordinate the slots of e_u
-are also shift-invariant (u is a shift of f, and v a causal convolution
-anchored left of every free point), so the operators are probed at most
-twice, on e_u for the first two free coordinates, and the later probes are
-shifts of the second.  The first gets its own probe because f(a) of a
-natural Caputo problem enters its difference with the opposite sign.
-Terms of J before the first point e_u's slots reach are the same on every
-side of the difference stencil and cancel exactly, so only the later terms
-are evaluated.  Both backends use one five-point stencil, with unit steps in
-rationals and h = 1e-3 (1 + |f(u)|) in floats, where its rounding noise is
-about 1.5 eps sum|L| / h.  In floats the oracle calls the Lagrangian's eval
-on whole arrays of probes, so eval must work elementwise on numpy arrays.
+gradient is the Euler-Lagrange residual.  Newton works on whole arrays: the
+u slots are read from the unknowns by index, the v slots by one Toeplitz
+product, and each Lagrangian partial is called once per residual or
+Jacobian on the arrays of all the sum points.  The GridFn Euler-Lagrange
+residual (el_residual) and the gradient oracle, which recomputes the
+derivatives by direct differencing of J, are independent references that
+never touch those maps; they read values by offset slices, not point by
+point.  The oracle reads f's slot values once; the slots are linear in f,
+so those of f bumped at a free coordinate u are f's plus a multiple of the
+slots of the basis function e_u.  Past the first free coordinate the slots
+of e_u are also shift-invariant (u is a shift of f, and v a causal
+convolution anchored left of every free point), so the operators are probed
+at most twice, on e_u for the first two free coordinates, and the later
+probes are shifts of the second.  The first gets its own probe because
+f(a) of a natural Caputo problem enters its difference with the opposite
+sign.  Terms of J before the first point e_u's slots reach are the same on
+every side of the difference stencil and cancel exactly, so only the later
+terms are evaluated.  Both backends use one five-point stencil, with unit
+steps in rationals and h = 1e-3 (1 + |f(u)|) in floats, where its rounding
+noise is about 1.5 eps sum|L| / h.  In floats the oracle calls the
+Lagrangian's eval on whole arrays of probes and sums each chunk of them in
+one reduction, so eval, like the partials, must work elementwise on numpy
+arrays.
 
 solve runs damped Newton and, when that stalls or reaches max_iter, one
 undamped retry from the same start, kept only if it converges.
@@ -63,10 +68,13 @@ __all__ = ["Lagrangian", "Formulation", "Boundary", "VariationalProblem",
 class Lagrangian:
     """L(t, u, v) with first and second partials in the u and v slots.
 
-    The partials are called point by point.  In the float backend eval must
-    also work elementwise on numpy arrays of t, u and v (the gradient oracle
-    evaluates it on whole arrays of probes); check_partials enforces this
-    when a float problem is constructed.
+    The GridFn references (action, first_variation, el_residual) call them
+    point by point.  In the float backend eval and every partial must also
+    work elementwise on numpy arrays of t, u and v: the gradient oracle
+    evaluates eval on whole arrays of probes, and Newton calls each partial
+    once per residual or Jacobian on the arrays of all the sum points.  A
+    partial may return one scalar for all the points (d_uu = -omega^2, say).
+    check_partials enforces this when a float problem is constructed.
     """
 
     name: str
@@ -106,8 +114,9 @@ class Lagrangian:
 
     def check_partials(self, rel_tol: float = 1e-6) -> None:
         """Float-mode self check: analytic first partials against central
-        differences of eval at a few probe points, and eval called on an
-        array of those points against its scalar calls."""
+        differences of eval at a few probe points, and eval and each partial
+        called once on arrays of those points against their scalar calls.
+        A partial may return one scalar for all the points; eval may not."""
         h = 1e-6
         probes = ((0.0, 0.7, -0.4), (2.0, -1.3, 0.9), (5.0, 0.2, 1.7))
         for t, u, v in probes:
@@ -121,16 +130,22 @@ class Lagrangian:
                         f"central differences at (t,u,v)=({t},{u},{v})")
         # numpy's array functions may round differently from the scalar
         # ones in the last bits, so the comparison allows for that
-        contract = (f"Lagrangian {self.name}: in the float backend eval must "
-                    f"work elementwise on numpy arrays of t, u and v")
-        want = np.array([self.eval(*x) for x in probes], dtype=float)
-        try:
-            got = np.asarray(self.eval(*np.array(probes).T), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(contract) from exc
-        if got.shape != want.shape or np.any(
-                np.abs(got - want) > 1e-12 * (1 + np.abs(want))):
-            raise ValueError(contract)
+        arrays = np.array(probes).T
+        for name in ("eval", "d_u", "d_v", "d_uu", "d_uv", "d_vv"):
+            fn = getattr(self, name)
+            contract = (f"Lagrangian {self.name}: in the float backend "
+                        f"{name} must work elementwise on numpy arrays of "
+                        f"t, u and v")
+            try:
+                got = np.asarray(fn(*arrays), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(contract) from exc
+            if name != "eval" and got.shape == ():
+                got = np.broadcast_to(got, len(probes))
+            if got.shape != (len(probes),) or any(
+                    abs(g - w) > 1e-12 * (1 + abs(w))
+                    for g, w in zip(got.tolist(), (fn(*x) for x in probes))):
+                raise ValueError(contract)
 
 
 class Formulation(enum.Enum):
@@ -349,20 +364,30 @@ def _stencil_rows(lag, ts, us, vs, eu, ev, h) -> np.ndarray:
     sum over the sum points of 8 (L(+h_r) - L(-h_r)) - (L(+2h_r) - L(-2h_r)),
     over 12 h_r, with L(s) at the slot values us + s eu_r, vs + s ev_r.
 
-    Columns before the first one any row reaches are not evaluated, and
-    each row sums from its own first reached column, so a row's value does
-    not depend on which rows share its chunk.  (A row that reaches no
-    column sums exact zeros: its four arguments are equal everywhere.)"""
-    js = ((eu != 0) | (ev != 0)).argmax(axis=1)
-    j0 = js.min()
-    ts, us, vs, eu, ev = ts[j0:], us[j0:], vs[j0:], eu[:, j0:], ev[:, j0:]
+    h ev is formed once; the steps +-1 and +-2 scale it exactly.  The u
+    slot of a basis function is one-hot (u is a shift of f), so L is
+    evaluated with the 1-D ts and us, which numpy broadcasts against the
+    rows of v, and again, with u moved, at each row's one u column, which
+    replaces its stencil there.  Columns before the first one any row
+    reaches are not evaluated; they, and each row's columns before its own
+    first one, hold exact zeros (the four arguments are equal there).
+    Every row is summed over all the sum points in one reduction, so its
+    value does not depend on which rows share its chunk.
+    """
+    j0 = ((eu != 0) | (ev != 0)).any(axis=0).argmax()
+    ts, us, vs, eu = ts[j0:], us[j0:], vs[j0:], eu[:, j0:]
+    hv = h[:, None] * ev[:, j0:]
+    r, j = np.nonzero(eu)
+    hu = h[r] * eu[r, j]
+    tj, uj, vj, hvj = ts[j], us[j], vs[j], hv[r, j]
 
-    def at(s):
-        sh = (s * h)[:, None]
-        return lag(ts, us + sh * eu, vs + sh * ev)
+    def stencil(at):
+        return 8 * (at(1) - at(-1)) - (at(2) - at(-2))
 
-    d = 8 * (at(1) - at(-1)) - (at(2) - at(-2))
-    return np.array([row[j:].sum() for row, j in zip(d, js - j0)]) / (12 * h)
+    d = np.zeros(ev.shape)
+    d[:, j0:] = stencil(lambda s: lag(ts, us, vs + s * hv))
+    d[r, j0 + j] = stencil(lambda s: lag(tj, uj + s * hu, vj + s * hvj))
+    return d.sum(axis=1) / (12 * h)
 
 
 def _probe_rows(p: VariationalProblem, f: GridFn):
@@ -435,7 +460,8 @@ def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     backend takes the probes of a chunk of free coordinates, at most
     _ORACLE_CHUNK entries, as (rows x sum points) arrays and calls eval on
     whole arrays (so eval must work elementwise on numpy arrays; see
-    Lagrangian); each row sums the terms' stencil differences.
+    Lagrangian); each row sums the terms' stencil differences over all the
+    sum points, in one reduction per chunk (see _stencil_rows).
     """
     lo, hi = p.f_domain()
     f = f.restrict(lo, hi)
@@ -510,30 +536,32 @@ def _toeplitz(w, n: int) -> np.ndarray:
 
 def _assembly(p: VariationalProblem):
     """The constant maps of the Newton system, built from the weights:
-    (ts, U, cu, V, cv, i, c).
+    (ts, i, cu, V, cv, c), with ts the sum points as a float array.
 
-    The slot maps U, V take the unknowns x to u, v at the points ts, with
-    offsets cu, cv from the boundary values.  With L_1, L_2 the Lagrangian
-    partials there, the residual is the gradient V^T L_2 + U^T L_1 and the
-    Jacobian its Hessian.  U is a 0/1 selection whose row i[k] reads the
-    free coordinate k; the later coordinates (f(b-1) of a natural CAPUTO
-    problem, the multiplier) are read by no row.  So U^T y is y[i] in the
-    first len(i) coordinates: U^T moves rows, with no product.  (A scatter
-    by index, in place of the first rows, made that move ten times slower at
-    N = 256.)  V is a slice of one lower-triangular Toeplitz matrix
-    W = T(w(-alpha)) on the N points [a, b-1]; w(1-alpha) enters only as
-    boundary vectors.  A difference of a w(1-alpha) sum is a w(-alpha)
+    The unknowns x give u and v at the points ts.  Each u slot is one value
+    of f: the rows i of u read the free coordinates 0, 1, ... in order, so u
+    is the offset cu (the boundary values) with x[:len(i)] added at the rows
+    i.  The other rows read only boundary values, and the later coordinates
+    of x (f(b-1) of a natural CAPUTO problem, the multiplier) enter no u
+    slot.  As a map, u = U x + cu with U the 0/1 selection of those rows,
+    and U^T y is y[i] in the first len(i) coordinates; no code forms U.
+    The v slots are v = V x + cv.  With L_1, L_2 the Lagrangian partials at
+    the sum points, the residual is the gradient V^T L_2 + U^T L_1 and the
+    Jacobian its Hessian.  V is a slice of one lower-triangular Toeplitz
+    matrix W = T(w(-alpha)) on the N points [a, b-1]; w(1-alpha) enters only
+    as boundary vectors.  A difference of a w(1-alpha) sum is a w(-alpha)
     convolution, since w(-1) * w(1-alpha) = w(-alpha) (Chu-Vandermonde), so
     these maps are the operators' compositions exactly, and in floats they
-    never difference two sums:
+    never difference two sums.  With the u slot at t read from f at the
+    index t - a - 1 + su of f_domain():
 
-      RIEMANN_A : U = eye(m, N, 1), V = W[1:];
-      RIEMANN_B : U = eye(m), V = W[1:, 1:]; the fixed case borders the
-                  system with the multiplier x[-1], its column
+      RIEMANN_A : su = 1, V = W[1:];
+      RIEMANN_B : su = 0, V = W[1:, 1:]; the fixed case borders the system
+                  with the multiplier x[-1], its column
                   c = -reversed(w(1-alpha)[:m]) and the constraint row
                   c f + A, so the Jacobian stays symmetric (else c = None);
-      CAPUTO    : U = eye(m, N), V = W[1:] with column 0 (the point f(a))
-                  set to -w(1-alpha).
+      CAPUTO    : su = 0, V = W[1:] with column 0 (the point f(a)) set to
+                  -w(1-alpha).
     """
     form, bnd, N = p.formulation, p.boundary, p.grid.N
     m = N - 1                                  # sum points a+1 .. b-1
@@ -541,48 +569,44 @@ def _assembly(p: VariationalProblem):
     c = None
     W = _toeplitz(weights(-al, m), N)
     if form is Formulation.RIEMANN_A:
-        Mu, Mv = np.eye(m, N, 1), W[1:]
+        su, Mv = 1, W[1:]
     else:
         w1 = np.array(weights(1 - al, m), dtype=float)
         if form is Formulation.RIEMANN_B:
-            Mu, Mv = np.eye(m), W[1:, 1:]
+            su, Mv = 0, W[1:, 1:]
             if bnd.kind == "fixed":
                 c = -w1[m - 1::-1]             # L_2(b)'s column
         else:
             if N < 3:
                 raise DomainError("CAPUTO residual needs b - a >= 3")
-            Mu, Mv = np.eye(m, N), W[1:]
+            su, Mv = 0, W[1:]
             Mv[:, 0] = -w1[:m]
 
     free = p._free()
     fixed = _f_vector(p, 0.0)
-    nx = len(free) + int(c is not None)
-
-    def on_x(M):
-        """M's columns on the free coordinates, padded to x, and the offset
-        from the fixed values."""
-        X = np.zeros((len(M), nx))
-        X[:, :len(free)] = M[:, free.start:free.stop]
-        return X, M @ fixed
-
-    U, cu = on_x(Mu)
-    V, cv = on_x(Mv)
-    return _sum_points(p), U, cu, V, cv, np.flatnonzero(U.any(axis=1)), c
+    V = np.zeros((m, len(free) + int(c is not None)))
+    V[:, :len(free)] = Mv[:, free.start:free.stop]
+    i = np.arange(max(free.start - su, 0), min(free.stop - su, m))
+    return (np.array(_sum_points(p), dtype=float), i, fixed[su:su + m],
+            V, Mv @ fixed, c)
 
 
 def _partials(x: np.ndarray, assembly, *ds) -> list:
-    """Each Lagrangian partial in ds at the points ts and the slot values
-    of x."""
-    ts, U, cu, V, cv = assembly[:5]
-    uv = list(zip(ts, (U @ x + cu).tolist(), (V @ x + cv).tolist()))
-    return [np.array([d(t, u, v) for t, u, v in uv], dtype=float)
-            for d in ds]
+    """Each Lagrangian partial in ds, called once on the arrays of the sum
+    points ts and the slot values of x; a scalar result is broadcast."""
+    ts, i, cu, V, cv = assembly[:5]
+    u = cu.copy()
+    u[i] += x[:len(i)]
+    v = V @ x + cv
+    out = [np.asarray(d(ts, u, v), dtype=float) for d in ds]
+    return [y if y.shape == ts.shape else np.broadcast_to(y, ts.shape)
+            for y in out]
 
 
 def _residual(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
     """The gradient of J on the free coordinates, V^T L_2 + U^T L_1,
     bordered in the RIEMANN_B fixed case (see _assembly)."""
-    _, _, _, V, _, i, c = assembly
+    _, i, _, V, _, c = assembly
     lag = p.lagrangian
     l1, l2 = _partials(x, assembly, lag.d_u, lag.d_v)
     r = V.T @ l2
@@ -596,13 +620,22 @@ def _residual(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
 def _jacobian(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
     """The Hessian of J on the free coordinates, V^T (L_uv U + L_vv V) +
     U^T (L_uu U + L_uv V), bordered in the RIEMANN_B fixed case: symmetric
-    in every formulation."""
-    _, U, _, V, _, i, c = assembly
+    in every formulation.
+
+    V^T L_vv V is one product.  U^T selects the rows i (see _assembly), so
+    the rest is added without forming U: B = (L_uv V)[i] as the first len(i)
+    rows and, transposed, columns, and L_uu[i] on the diagonal.  B is
+    skipped when L_uv is zero, as in both built-in Lagrangians."""
+    _, i, _, V, _, c = assembly
     lag = p.lagrangian
-    duu, duv, dvv = (d[:, None] for d in _partials(
-        x, assembly, lag.d_uu, lag.d_uv, lag.d_vv))
-    J = V.T @ (duv * U + dvv * V)
-    J[:len(i)] += (duu * U + duv * V)[i]
+    duu, duv, dvv = _partials(x, assembly, lag.d_uu, lag.d_uv, lag.d_vv)
+    J = V.T @ (dvv[:, None] * V)
+    n = len(i)
+    if duv.any():
+        B = duv[i, None] * V[i]
+        J[:n] += B
+        J[:, :n] += B.T
+    J[range(n), range(n)] += duu[i]
     if c is not None:
         J[:-1, -1] = J[-1, :-1] = c
     return J

@@ -39,8 +39,9 @@ def test_criterion_1_exact_identity_suite():
                 continue
             for n in VERIFY_SIZES:
                 for seed in range(TRIALS):
-                    for rep in run_trial(ident, alpha, 0, n, seed, True,
-                                         rational):
+                    # Fraction anchors, as `verify --backend rational` uses
+                    for rep in run_trial(ident, alpha, rational(0),
+                                         rational(n), seed, True, rational):
                         assert rep.residual == 0, \
                             (ident, alpha_text, n, seed)
                         checks += 1

@@ -85,6 +85,29 @@ class TestLagrangian:
         with pytest.raises(ValueError, match="elementwise on numpy arrays"):
             lag.check_partials()
 
+    # L = v^2/2 + sin(u) written with numpy; each case swaps in one partial
+    # that takes scalars only (math.*) or sums its arrays
+    ELEMENTWISE = dict(eval=lambda t, u, v: v * v / 2 + np.sin(u),
+                       d_u=lambda t, u, v: np.cos(u), d_v=lambda t, u, v: v,
+                       d_uu=lambda t, u, v: -np.sin(u),
+                       d_uv=lambda t, u, v: 0.0,
+                       d_vv=lambda t, u, v: u * 0 + 1)
+
+    def test_partials_may_return_a_scalar(self):
+        Lagrangian("sine", **self.ELEMENTWISE).check_partials()
+
+    @pytest.mark.parametrize("name,partial", [
+        ("d_u", lambda t, u, v: math.cos(u)),
+        ("d_uu", lambda t, u, v: -math.sin(u)),
+        ("d_uv", lambda t, u, v: math.copysign(0.0, u)),
+        ("d_vv", lambda t, u, v: float(np.sum(u * 0 + 1))),
+    ], ids=["d_u", "d_uu", "d_uv", "d_vv-summed"])
+    def test_partials_must_be_elementwise(self, name, partial):
+        lag = Lagrangian("sine", **dict(self.ELEMENTWISE, **{name: partial}))
+        with pytest.raises(ValueError, match=f"{name} must work elementwise "
+                           f"on numpy arrays"):
+            lag.check_partials()
+
 
 class TestValidation:
     def test_riemann_a_needs_fixed_start(self):
@@ -374,7 +397,7 @@ class TestSolve:
         lag = Lagrangian(
             "three-halves", eval=lambda t, u, v: u * u / 2 + abs(v) ** 1.5,
             d_u=lambda t, u, v: u,
-            d_v=lambda t, u, v: 1.5 * math.copysign(abs(v) ** 0.5, v),
+            d_v=lambda t, u, v: 1.5 * np.copysign(abs(v) ** 0.5, v),
             d_uu=lambda t, u, v: 1.0, d_uv=lambda t, u, v: 0.0,
             d_vv=lambda t, u, v: 0.75 * abs(v) ** -0.5)
         p = make_problem(Formulation.CAPUTO, Boundary("fixed", A=1.0, B=0.5),
@@ -471,7 +494,7 @@ class TestSolve:
         # L_1 = u - 3 up to |u| = 1.5 and infinite past it: the full step
         # lands at u = 3, where the residual is not finite
         def d_u(t, u, v):
-            return u - 3 if abs(u) <= 1.5 else math.inf
+            return np.where(np.abs(u) <= 1.5, u - 3, np.inf)
 
         lag = Lagrangian("walled", eval=lambda t, u, v: (u - 3) ** 2 / 2,
                          d_u=d_u, d_v=lambda t, u, v: 0.0,
@@ -592,7 +615,7 @@ class TestAssembly:
     def test_maps_match_probed_operators(self, case, N, anchor):
         form, kind, alpha = case
         p = self.problem(form, kind, alpha, N, anchor)
-        ts, U, cu, V, cv, i, c = _assembly(p)
+        ts, i, cu, V, cv, c = _assembly(p)
         a, b = p.grid.a, p.grid.b
         lo, hi = p.f_domain()
         free, fixed = p._free(), _f_vector(p, 0.0)
@@ -603,15 +626,16 @@ class TestAssembly:
         Mu = self.probe(lambda e: GridFn(
             ts[0], tuple(_u_of(p, e, t) for t in ts)), lo, hi)
         Mv = self.probe(lambda e: _v_fn(p, e), lo, hi)
-        for got, off, M in ((U, cu, Mu), (V, cv, Mv)):
-            _close(got[:, :nfree], M[:, free])
-            _close(off, M @ fixed)
-            assert not got[:, nfree:].any()
+        _close(V[:, :nfree], Mv[:, free])
+        _close(cv, Mv @ fixed)
+        assert not V[:, nfree:].any()
 
-        # U^T moves rows: row i[k] selects the free coordinate k, and no
-        # other row selects anything
-        assert np.array_equal(U[i], np.eye(len(i), U.shape[1]))
-        assert not np.delete(U, i, axis=0).any()
+        # u is cu with x[:len(i)] added at the rows i: row i[k] reads the
+        # free coordinate k, and no other row reads a free coordinate
+        select = np.zeros((len(ts), nfree))
+        select[i, range(len(i))] = 1
+        assert np.array_equal(Mu[:, free], select)
+        _close(cu, Mu @ fixed)
 
         # the multiplier's column: L_2(b)'s column of the right operator,
         # and the terminal fractional sum negated
@@ -688,6 +712,48 @@ class TestAssembly:
             -1, 1, len(p._free()) + constrained)
         J = _jacobian(p, x, _assembly(p))
         assert np.max(np.abs(J - J.T)) <= 1e-14 * np.max(np.abs(J))
+
+    @staticmethod
+    def dense_jacobian(p, x, assembly):
+        """_jacobian as it was built with the 0/1 selection U formed, and
+        the partials called point by point."""
+        ts, i, cu, V, cv, c = assembly
+        U = np.zeros(V.shape)
+        U[i, range(len(i))] = 1
+        lag = p.lagrangian
+        uv = list(zip(ts.tolist(), (U @ x + cu).tolist(),
+                      (V @ x + cv).tolist()))
+        duu, duv, dvv = (np.array([d(*y) for y in uv], dtype=float)[:, None]
+                         for d in (lag.d_uu, lag.d_uv, lag.d_vv))
+        J = V.T @ (duv * U + dvv * V)
+        J[:len(i)] += (duu * U + duv * V)[i]
+        if c is not None:
+            J[:-1, -1] = J[-1, :-1] = c
+        return J
+
+    @pytest.mark.parametrize("lag", ["quadratic", "quartic", "mixed"])
+    @PARAMS
+    def test_jacobian_matches_dense_selection(self, case, N, anchor, lag):
+        # the built-in Lagrangians have L_uv = 0, where the one product
+        # V^T (L_vv V) is the dense one bit for bit; with L_uv = t the U
+        # terms are added in another order
+        form, kind, alpha = case
+        p = self.problem(form, kind, alpha, N, anchor, {
+            "quadratic": Lagrangian.quadratic_potential(1.3),
+            "quartic": Lagrangian.quartic_potential(),
+            "mixed": self.LAG}[lag])
+        constrained = form is Formulation.RIEMANN_B and kind == "fixed"
+        x = np.random.default_rng(N + 3).uniform(
+            -1, 1, len(p._free()) + constrained)
+        assembly = _assembly(p)
+        got = _jacobian(p, x, assembly)
+        want = self.dense_jacobian(p, x, assembly)
+        assert got.shape == want.shape
+        if lag == "mixed":
+            assert np.max(np.abs(got - want)) <= \
+                1e-14 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got, want)
 
     # L = v^2/2 - 0.49 u^2/2 plus a t u or a u v term: the natural problem
     # then has a nonzero solution, where the rows of f(a) and f(b-1) must
@@ -1060,6 +1126,26 @@ class TestFloatOracle:
         assert got.values == want.values
 
     @pytest.mark.parametrize(
+        "case,N,anchor,lag",
+        list(product(CASES, (3, 8, 64, 256), (0.0, 1 / 3),
+                     ("quadratic", "quartic"))),
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else v if isinstance(v, str) else f"{v:.3g}")
+    def test_matches_per_row_sums(self, monkeypatch, case, N, anchor, lag):
+        # one reduction over all the sum points, in place of per-row sums
+        # from each row's first column, moves only the summation order
+        p = TestOracleReference.problem(case, N, anchor, False, lag)
+        f = TestPointwiseReference.draw(p, N)
+        got = gradient_oracle(p, f)
+        monkeypatch.setattr(variational, "_stencil_rows",
+                            _stencil_rows_per_row)
+        want = gradient_oracle(p, f)
+        assert got.lo == want.lo and len(got) == len(want)
+        g, w = np.array(got.values), np.array(want.values)
+        assert np.all(np.abs(g - w) <= 1e-15 * (1 + np.abs(w))), \
+            np.max(np.abs(g - w) / (1 + np.abs(w)))
+
+    @pytest.mark.parametrize(
         "case,lag", list(product(CASES, LAGS)),
         ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
         else str(v))
@@ -1083,6 +1169,21 @@ class TestFloatOracle:
             assert abs(g - float(w)) <= 1.5 * np.finfo(float).eps * total / h
 
 
+def _stencil_rows_per_row(lag, ts, us, vs, eu, ev, h):
+    """_stencil_rows as it was built before: u and v both moved on the whole
+    array, and each row summed from its own first reached column."""
+    js = ((eu != 0) | (ev != 0)).argmax(axis=1)
+    j0 = js.min()
+    ts, us, vs, eu, ev = ts[j0:], us[j0:], vs[j0:], eu[:, j0:], ev[:, j0:]
+
+    def at(s):
+        sh = (s * h)[:, None]
+        return lag(ts, us + sh * eu, vs + sh * ev)
+
+    d = 8 * (at(1) - at(-1)) - (at(2) - at(-2))
+    return np.array([row[j:].sum() for row, j in zip(d, js - j0)]) / (12 * h)
+
+
 def _toeplitz_by_index_matrix(w, n):
     """_toeplitz as it was built before: from an N^2 index matrix."""
     k = np.subtract.outer(np.arange(n), np.arange(n))
@@ -1091,8 +1192,9 @@ def _toeplitz_by_index_matrix(w, n):
 
 
 def _assembly_by_index_matrix(p):
-    """_assembly as it was built before: W from the index matrix, and the
-    free columns read by a range of indices."""
+    """_assembly as it was built before: W from the index matrix, the free
+    columns read by a range of indices, and u read through the explicit
+    0/1 selection U, whose rows i and offset cu are returned."""
     form, bnd, N = p.formulation, p.boundary, p.grid.N
     m = N - 1
     al = p.alpha.alpha
@@ -1120,14 +1222,18 @@ def _assembly_by_index_matrix(p):
 
     U, cu = on_x(Mu)
     V, cv = on_x(Mv)
-    return _sum_points(p), U, cu, V, cv, np.flatnonzero(U.any(axis=1)), c
+    # the rows of the selection U that read a free coordinate, in order
+    i = np.flatnonzero(U.any(axis=1))
+    assert np.array_equal(U[i], np.eye(len(i), U.shape[1]))
+    return np.array(_sum_points(p), dtype=float), i, cu, V, cv, c
 
 
 class TestAssemblyFromSlices:
-    """_toeplitz builds its matrix from a sliding window of the weights and
-    on_x reads the free columns as a slice; every map must stay
-    bit-identical to the index-matrix construction, since last-bit changes
-    to Newton's residual can flip a solve's verdict."""
+    """_toeplitz builds its matrix from a sliding window of the weights, and
+    _assembly reads V's free columns as a slice and the u slots' rows as an
+    index range; every map must stay bit-identical to the index-matrix
+    construction with its explicit selection U, since last-bit changes to
+    Newton's residual can flip a solve's verdict."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 300])
     @pytest.mark.parametrize("beta", [-0.4, 0.6, rat("-1/3")],
@@ -1147,8 +1253,7 @@ class TestAssemblyFromSlices:
     def test_maps_bit_identical(self, case, N):
         p = TestAssembly.problem(*case, N, 1 / 3)
         got, want = _assembly(p), _assembly_by_index_matrix(p)
-        assert got[0] == want[0]
-        for g, w in zip(got[1:], want[1:]):
+        for g, w in zip(got, want):
             if w is None:
                 assert g is None
             else:
