@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,12 +177,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _load_problem(args, alpha_text=None):
-    """(problem, tol, max_iter) from the config at args.input; alpha_text,
-    --tol and --max-iter override the config's values when given."""
+def _load_problem(args):
+    """(problem, tol, max_iter) from the config at args.input; --tol and
+    --max-iter override the config's values when given."""
     with open(args.input) as src:
         cfg = json.load(src)
-    alpha = FracOrder.parse(alpha_text or str(cfg["alpha"]), exact=False)
+    alpha = FracOrder.parse(str(cfg["alpha"]), exact=False)
     a = parse_scalar(str(cfg["a"]), exact=False)
     b = parse_scalar(str(cfg["b"]), exact=False)
     form = Formulation(cfg["formulation"])
@@ -244,12 +245,14 @@ def _cmd_sweep(args) -> int:
         alphas.append(text)
     any_failed = False
     rows = []
-    for text in alphas:
-        try:
-            problem, tol, max_iter = _load_problem(args, text)
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"error: bad config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        base, tol, max_iter = _load_problem(args)
+        problems = [replace(base, alpha=FracOrder.parse(text, exact=False))
+                    for text in alphas]
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    for text, problem in zip(alphas, problems):
         sol = solve(problem, tol=tol, max_iter=max_iter)
         if not sol.converged:
             any_failed = True

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .backend import format_scalar, is_exact
 from .grid import GridFn, _offset, dot, inner_sum, shift_rho, shift_sigma
-from .numerics import FracOrder, _order, _order_value
+from .numerics import _order, _order_value
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
                         nabla_left_sum_fn, nabla_right_riemann,
                         nabla_right_sum_fn, delta_left_sum, delta_right_sum,
@@ -129,7 +129,7 @@ def check_caputo_by_parts(f: GridFn, g: GridFn, alpha, a, b) -> IdentityReport:
     """sum g (C-nabla_a^alpha f) = [f _b nabla^{-(1-alpha)} g]_a^{b-1}
        + sum f(s-1) (_b nabla^alpha g)(s-1), for 0 < alpha < 1."""
     alpha = _order(alpha)
-    _require_unit_interval(alpha, "Caputo by-parts")
+    alpha.require_unit_interval("Caputo by-parts")
     av = alpha.alpha
     cl = caputo_left(f.restrict(a, b - 1), alpha, a)
     rs = nabla_right_sum_fn(g.restrict(a, b - 1), 1 - av, b)
@@ -154,7 +154,7 @@ def check_riemann_caputo_by_parts(f: GridFn, g: GridFn,
     lhs - boundary - rhs.
     """
     alpha = _order(alpha)
-    _require_unit_interval(alpha, "Riemann-Caputo by-parts")
+    alpha.require_unit_interval("Riemann-Caputo by-parts")
     av = alpha.alpha
     lr = nabla_left_riemann(g.restrict(a + 1, b - 1), alpha, a)
     ls = nabla_left_sum_fn(g.restrict(a + 1, b - 1), 1 - av, a)
@@ -245,8 +245,3 @@ def run_trial(identity_id: str, alpha, a, b, seed: int, exact: bool,
         return check_shift_properties(f, alpha, a, b)
     g = random_gridfn(rng, a, b, make)
     return [_CHECKS[identity_id](f, g, alpha, a, b)]
-
-
-def _require_unit_interval(alpha: FracOrder, what: str) -> None:
-    if not 0 < alpha.alpha < 1:
-        raise ValueError(f"{what} requires 0 < alpha < 1, got {alpha.alpha}")

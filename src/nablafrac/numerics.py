@@ -47,6 +47,10 @@ class FracOrder:
             raise DomainError(f"{what} requires a non-integer order, "
                               f"got {self.alpha}")
 
+    def require_unit_interval(self, what: str) -> None:
+        if not self.alpha < 1:                 # alpha > 0 always holds
+            raise DomainError(f"{what} requires 0 < alpha < 1")
+
 
 def _order(alpha) -> FracOrder:
     return alpha if isinstance(alpha, FracOrder) else FracOrder(alpha)

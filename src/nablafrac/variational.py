@@ -11,6 +11,7 @@ Three formulations are supported for J(f) = sum_{t=a+1}^{b-1} L(t, u, v):
               nabla_a^{-(1-alpha)} f(b-1) = A fixed via one multiplier.
   CAPUTO    : u = f(t-1), v = (C-nabla_a^alpha f)(t), 0 < alpha < 1,
               endpoints f(a) = A, f(b-1) = B fixed, or free (natural).
+Each (formulation, boundary kind) pair is defined once, in _CASES.
 
 Newton's residual is the gradient of J on the free coordinates and its
 Jacobian the symmetric Hessian, bordered by the multiplier in the RIEMANN_B
@@ -166,6 +167,41 @@ class Boundary:
 
 
 @dataclass(frozen=True)
+class _Case:
+    """One (formulation, boundary kind) pair, in integer offsets from a."""
+
+    v_op: Callable          # v = v_op(f, alpha, a + v_at) on [a + 1, b - 1]
+    v_at: int = 0
+    unit: bool = True       # 0 < alpha < 1, else any non-integer alpha > 0
+    needs: str = ""         # the boundary data required, of "A" and "B"
+    missing: str = ""       # the DomainError's text when some is None
+    lo: int = 0             # f_domain() is [a + lo, b - 1]; V is W[1:, lo:]
+    fix_lo: int = 0         # 1 where f(a + lo) = A is fixed
+    fix_hi: int = 0         # 1 where f(b - 1) = B is fixed
+    su: int = 0             # u(t) is f.values[t - a - 1 + su] on f_domain()
+    el_shift: int = 0       # el_residual meets L_1(s + el_shift) at s
+    w1_column: bool = False  # f(a)'s column of V is -w(1 - alpha)
+    border: bool = False    # A fixes the terminal sum via a multiplier
+
+
+_CASES = {
+    (Formulation.RIEMANN_A, "fixed"): _Case(
+        nabla_left_riemann, v_at=-1, unit=False, fix_lo=1, su=1, needs="A",
+        missing="RIEMANN_A requires fixed f(a) = A"),
+    (Formulation.RIEMANN_B, "natural"): _Case(nabla_left_riemann, lo=1),
+    (Formulation.RIEMANN_B, "fixed"): _Case(
+        nabla_left_riemann, lo=1, border=True, needs="A",
+        missing="RIEMANN_B fixed case requires the terminal fractional sum "
+                "value A"),
+    (Formulation.CAPUTO, "natural"): _Case(caputo_left, el_shift=1,
+                                           w1_column=True),
+    (Formulation.CAPUTO, "fixed"): _Case(
+        caputo_left, fix_lo=1, fix_hi=1, el_shift=1, w1_column=True,
+        needs="AB", missing="CAPUTO fixed case requires both A and B"),
+}
+
+
+@dataclass(frozen=True)
 class VariationalProblem:
     grid: Grid
     alpha: FracOrder
@@ -177,45 +213,29 @@ class VariationalProblem:
     def __post_init__(self):
         if self.grid.N < 2:
             raise DomainError("variational problems need b - a >= 2")
-        a = self.alpha
-        a.require_noninteger("variational formulations")
-        if self.formulation is Formulation.RIEMANN_A:
-            if self.boundary.kind != "fixed" or self.boundary.A is None:
-                raise DomainError("RIEMANN_A requires fixed f(a) = A")
-        else:
-            if not 0 < a.alpha < 1:
-                raise DomainError(
-                    f"{self.formulation.value} requires 0 < alpha < 1")
-        if self.boundary.kind not in ("fixed", "natural"):
-            raise DomainError(f"unknown boundary kind {self.boundary.kind!r}")
-        if self.formulation is Formulation.RIEMANN_B \
-                and self.boundary.kind == "fixed" and self.boundary.A is None:
-            raise DomainError("RIEMANN_B fixed case requires the terminal "
-                              "fractional sum value A")
-        if self.formulation is Formulation.CAPUTO \
-                and self.boundary.kind == "fixed" \
-                and (self.boundary.A is None or self.boundary.B is None):
-            raise DomainError("CAPUTO fixed case requires both A and B")
+        self.alpha.require_noninteger("variational formulations")
+        form, bnd = self.formulation, self.boundary
+        # a formulation's fixed case also judges the kinds it does not take
+        case = _CASES.get((form, bnd.kind), _CASES[form, "fixed"])
+        if case.unit:
+            self.alpha.require_unit_interval(form.value)
+        if (form, bnd.kind) not in _CASES:
+            raise DomainError(case.missing if form is Formulation.RIEMANN_A
+                              else f"unknown boundary kind {bnd.kind!r}")
+        if any(getattr(bnd, x) is None for x in case.needs):
+            raise DomainError(case.missing)
+        object.__setattr__(self, "_case", case)
         if not self.exact:
             self.lagrangian.check_partials()
 
     # domain of f required by the formulation
     def f_domain(self):
-        a, b = self.grid.a, self.grid.b
-        if self.formulation is Formulation.RIEMANN_B:
-            return a + 1, b - 1
-        return a, b - 1
+        return self.grid.a + self._case.lo, self.grid.b - 1
 
     def _free(self) -> range:
         """Indices of the free coordinates in the f_domain() vector."""
-        N = self.grid.N
-        if self.formulation is Formulation.RIEMANN_B:
-            return range(N - 1)
-        if self.formulation is Formulation.RIEMANN_A:
-            return range(1, N)                 # f(a) fixed
-        if self.boundary.kind == "fixed":
-            return range(1, N - 1)             # f(a), f(b-1) fixed
-        return range(N)
+        c = self._case
+        return range(c.fix_lo, self.grid.N - c.lo - c.fix_hi)
 
     def free_points(self):
         lo = self.f_domain()[0]
@@ -229,24 +249,16 @@ def _sum_points(p: VariationalProblem):
 
 def _v_fn(p: VariationalProblem, f: GridFn) -> GridFn:
     """The formulation's fractional slot as a grid function on [a+1, b-1]."""
-    a, b = p.grid.a, p.grid.b
-    form = p.formulation
-    if form is Formulation.RIEMANN_A:
-        return nabla_left_riemann(f, p.alpha, a - 1).restrict(a + 1, b - 1)
-    if form is Formulation.RIEMANN_B:
-        return nabla_left_riemann(f.restrict(a + 1, b - 1), p.alpha, a)
-    return caputo_left(f, p.alpha, a).restrict(a + 1, b - 1)
+    a, case = p.grid.a, p._case
+    v = case.v_op(f.restrict(*p.f_domain()), p.alpha, a + case.v_at)
+    return v.restrict(a + 1, p.grid.b - 1)
 
 
 def _slots(p: VariationalProblem, f: GridFn):
     """(us, vs): the u and v slot values at the sum points (_sum_points),
     read by offset slices of f on f_domain()."""
-    f = f.restrict(*p.f_domain())
-    if p.formulation is Formulation.CAPUTO:
-        us = f.values[:-1]                     # u(t) = f(t - 1)
-    else:
-        us = f.values[1 - p.grid.N:]
-    return us, _v_fn(p, f).values
+    f, su = f.restrict(*p.f_domain()), p._case.su
+    return f.values[su:su + p.grid.N - 1], _v_fn(p, f).values
 
 
 def action(p: VariationalProblem, f: GridFn):
@@ -339,11 +351,16 @@ def el_residual(p: VariationalProblem, f: GridFn,
         return _el_riemann_b(p, f, l2_at_b)
     l1, l2 = _l1_l2(p, f)
     rr = nabla_right_riemann(l2, p.alpha, p.grid.b)
-    if p.formulation is Formulation.RIEMANN_A:
-        return _plus(l1, rr)
-    if p.grid.N < 3:
-        raise DomainError("CAPUTO residual needs b - a >= 3")
-    return _plus(l1, rr, 1)
+    return _plus(l1, rr, _el_shift(p))
+
+
+def _el_shift(p: VariationalProblem) -> int:
+    """el_residual's offset k: L_1(s + k) meets the right difference at s."""
+    k = p._case.el_shift
+    if p.grid.N < 2 + k:
+        raise DomainError(f"{p.formulation.name} residual needs "
+                          f"b - a >= {2 + k}")
+    return k
 
 
 # Entries per stacked (rows x sum points) array of the float oracle, 128 kB
@@ -511,14 +528,13 @@ class Solution:
 def _f_vector(p: VariationalProblem, x) -> np.ndarray:
     """Values on f_domain(): the fixed boundary values, then x on the free
     coordinates."""
-    lo, hi = p.f_domain()
-    vals = np.zeros(_offset(hi, lo) + 1)
-    free = p._free()
-    if free.start == 1:
+    case = p._case
+    vals = np.zeros(p.grid.N - case.lo)
+    if case.fix_lo:
         vals[0] = float(p.boundary.A)
-    if free.stop == len(vals) - 1:
+    if case.fix_hi:
         vals[-1] = float(p.boundary.B)
-    vals[free] = x
+    vals[p._free()] = x
     return vals
 
 
@@ -552,35 +568,19 @@ def _assembly(p: VariationalProblem):
     as boundary vectors.  A difference of a w(1-alpha) sum is a w(-alpha)
     convolution, since w(-1) * w(1-alpha) = w(-alpha) (Chu-Vandermonde), so
     these maps are the operators' compositions exactly, and in floats they
-    never difference two sums.  With the u slot at t read from f at the
-    index t - a - 1 + su of f_domain():
-
-      RIEMANN_A : su = 1, V = W[1:];
-      RIEMANN_B : su = 0, V = W[1:, 1:]; the fixed case borders the system
-                  with the multiplier x[-1], its column
-                  c = -reversed(w(1-alpha)[:m]) and the constraint row
-                  c f + A, so the Jacobian stays symmetric (else c = None);
-      CAPUTO    : su = 0, V = W[1:] with column 0 (the point f(a)) set to
-                  -w(1-alpha).
+    never difference two sums.  The problem's _Case gives su, V = W[1:, lo:]
+    and w(1-alpha)'s role.  A border adds the multiplier x[-1], its column
+    c = -reversed(w(1-alpha)[:m]) and row c f + A, so J stays symmetric.
     """
-    form, bnd, N = p.formulation, p.boundary, p.grid.N
+    case, N, al = p._case, p.grid.N, p.alpha.alpha
     m = N - 1                                  # sum points a+1 .. b-1
-    al = p.alpha.alpha
-    c = None
+    _el_shift(p)                               # solve ends in el_residual
     W = _toeplitz(weights(-al, m), N)
-    if form is Formulation.RIEMANN_A:
-        su, Mv = 1, W[1:]
-    else:
-        w1 = np.array(weights(1 - al, m), dtype=float)
-        if form is Formulation.RIEMANN_B:
-            su, Mv = 0, W[1:, 1:]
-            if bnd.kind == "fixed":
-                c = -w1[m - 1::-1]             # L_2(b)'s column
-        else:
-            if N < 3:
-                raise DomainError("CAPUTO residual needs b - a >= 3")
-            su, Mv = 0, W[1:]
-            Mv[:, 0] = -w1[:m]
+    Mv, su, c = W[1:, case.lo:], case.su, None
+    if case.w1_column:                         # the point f(a)
+        Mv[:, 0] = -np.array(weights(1 - al, m), dtype=float)[:m]
+    if case.border:                            # L_2(b)'s column
+        c = -np.array(weights(1 - al, m), dtype=float)[m - 1::-1]
 
     free = p._free()
     fixed = _f_vector(p, 0.0)

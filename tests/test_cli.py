@@ -312,6 +312,17 @@ class TestSweep:
                   for line in out.read_text().splitlines()[1:]}
         assert alphas == {"1/2"}
 
+    def test_out_of_range_order_exit_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "p.json"
+        problem_config(cfgp, formulation="caputo")
+        out = tmp_path / "t.csv"
+        code = main(["sweep", "--input", str(cfgp), "--output", str(out),
+                     "--alpha-list", "1/2,3/2"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: bad config: caputo requires 0 < alpha < 1\n"
+        assert not out.exists()
+
     def test_empty_list_exit_2(self, tmp_path):
         cfgp = tmp_path / "p.json"
         problem_config(cfgp)

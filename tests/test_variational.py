@@ -140,6 +140,45 @@ class TestValidation:
         with pytest.raises(DomainError):
             make_problem(Formulation.CAPUTO, Boundary("fixed", A=rat("1")))
 
+    @staticmethod
+    def expected(form, kind, alpha, data):
+        """None if the problem builds, else its DomainError's text; the
+        checks run in this order."""
+        if alpha == "1":
+            return "variational formulations requires a non-integer " \
+                   "order, got 1"
+        if form is Formulation.RIEMANN_A:
+            return None if kind == "fixed" and "A" in data \
+                else "RIEMANN_A requires fixed f(a) = A"
+        if alpha == "3/2":
+            return f"{form.value} requires 0 < alpha < 1"
+        if kind == "periodic":
+            return "unknown boundary kind 'periodic'"
+        if kind == "natural":
+            return None
+        if form is Formulation.RIEMANN_B:
+            return None if "A" in data else \
+                "RIEMANN_B fixed case requires the terminal fractional sum " \
+                "value A"
+        return None if data == "AB" else \
+            "CAPUTO fixed case requires both A and B"
+
+    @pytest.mark.parametrize(
+        "form,kind,alpha,data",
+        list(product(Formulation, ("fixed", "natural", "periodic"),
+                     ("1/2", "1", "3/2"), ("", "A", "AB"))),
+        ids=lambda v: v.value if isinstance(v, Formulation) else v or "-")
+    def test_every_pair_and_message(self, form, kind, alpha, data):
+        bnd = Boundary(kind, A=rat("1") if "A" in data else None,
+                       B=rat("-1/2") if "B" in data else None)
+        want = self.expected(form, kind, alpha, data)
+        if want is None:
+            make_problem(form, bnd, alpha=alpha)
+            return
+        with pytest.raises(DomainError) as exc:
+            make_problem(form, bnd, alpha=alpha)
+        assert str(exc.value) == want
+
 
 class TestAction:
     def test_zero_function(self):
@@ -534,6 +573,17 @@ class TestSolve:
         p = make_problem(Formulation.CAPUTO, bnd, N=2, exact=False)
         with pytest.raises(DomainError):
             solve(p)
+
+    @pytest.mark.parametrize("form,bnd", [
+        (Formulation.RIEMANN_A, Boundary("fixed", A=1.0)),
+        (Formulation.RIEMANN_B, Boundary("natural")),
+        (Formulation.RIEMANN_B, Boundary("fixed", A=1.0))],
+        ids=["riemann_a-fixed", "riemann_b-natural", "riemann_b-fixed"])
+    def test_shortest_grid_solves(self, form, bnd):
+        # b - a = 2 leaves one sum point: enough for every residual but
+        # Caputo's, which meets L_1(s + 1) at s
+        sol = solve(make_problem(form, bnd, N=2, exact=False))
+        assert sol.converged and len(sol.el_residual.values) == 1
 
     def test_exact_backend_rejected(self):
         p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=rat("1")))
