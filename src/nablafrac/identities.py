@@ -57,14 +57,13 @@ class IdentityReport:
         scale = 1.0 + max(abs(self.lhs), abs(self.rhs))
         return bool(abs(self.residual) <= FLOAT_TOLERANCE * scale)
 
-    def to_json(self, alpha=None, a=None, b=None, seed=None) -> str:
-        rec = {"identity_id": self.identity_id}
-        if alpha is not None:
-            rec.update(alpha=format_scalar(alpha), a=format_scalar(a),
-                       b=format_scalar(b), seed=seed)
-        rec["residual"] = format_scalar(self.residual)
-        rec["pass"] = self.passed
-        return json.dumps(rec)
+    def to_json(self, alpha, a, b, seed) -> str:
+        return json.dumps({"identity_id": self.identity_id,
+                           "alpha": format_scalar(alpha),
+                           "a": format_scalar(a), "b": format_scalar(b),
+                           "seed": seed,
+                           "residual": format_scalar(self.residual),
+                           "pass": self.passed})
 
 
 def _report(identity_id, lhs, rhs, boundary) -> IdentityReport:

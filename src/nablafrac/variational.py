@@ -33,12 +33,11 @@ probes are shifts of the second.  The first gets its own probe because
 f(a) of a natural Caputo problem enters its difference with the opposite
 sign.  Terms of J before the first point e_u's slots reach are the same on
 every side of the difference stencil and cancel exactly, so only the later
-terms are evaluated.  Both backends use one five-point stencil, with unit
-steps in rationals and h = 1e-3 (1 + |f(u)|) in floats, where its rounding
-noise is about 1.5 eps sum|L| / h.  In floats the oracle calls the
-Lagrangian's eval on whole arrays of probes and sums each chunk of them in
-one reduction, so eval, like the partials, must work elementwise on numpy
-arrays.
+terms are evaluated.  Both backends run the same code: one five-point
+stencil, with unit steps in rationals and h = 1e-3 (1 + |f(u)|) in floats
+(rounding noise about 1.5 eps sum|L| / h), that calls eval on whole arrays
+of probes, float or of rationals, so eval, like the partials, must work
+elementwise on numpy arrays.
 
 solve runs damped Newton and, when that stalls or reaches max_iter, one
 undamped retry from the same start, kept only if it converges.
@@ -48,8 +47,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count, repeat
-from operator import add, mul
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,12 +68,14 @@ class Lagrangian:
     """L(t, u, v) with first and second partials in the u and v slots.
 
     The GridFn references (action, first_variation, el_residual) call them
-    point by point.  In the float backend eval and every partial must also
-    work elementwise on numpy arrays of t, u and v: the gradient oracle
-    evaluates eval on whole arrays of probes, and Newton calls each partial
-    once per residual or Jacobian on the arrays of all the sum points.  A
-    partial may return one scalar for all the points (d_uu = -omega^2, say).
-    check_partials enforces this when a float problem is constructed.
+    point by point.  eval and every partial must also work elementwise on
+    numpy arrays of t, u and v: the gradient oracle calls eval on whole
+    arrays of probes, float ones in the float backend and object arrays of
+    rationals in the exact one, and Newton calls each partial once per
+    residual or Jacobian on float arrays of all the sum points.  A partial
+    may return one scalar for all the points (d_uu = -omega^2, say).
+    check_partials enforces this, on float arrays, when a problem is
+    constructed.
     """
 
     name: str
@@ -113,11 +113,12 @@ class Lagrangian:
             d_vv=lambda t, u, v: u * 0 + 1,
         )
 
-    def check_partials(self, rel_tol: float = 1e-6) -> None:
-        """Float-mode self check: analytic first partials against central
-        differences of eval at a few probe points, and eval and each partial
-        called once on arrays of those points against their scalar calls.
-        A partial may return one scalar for all the points; eval may not."""
+    def check_partials(self) -> None:
+        """Float self check: analytic first partials against central
+        differences of eval at a few probe points, within 1e-6 (1 + |fd|),
+        and eval and each partial called once on arrays of those points
+        against their scalar calls.  A partial may return one scalar for
+        all the points; eval may not."""
         h = 1e-6
         probes = ((0.0, 0.7, -0.4), (2.0, -1.3, 0.9), (5.0, 0.2, 1.7))
         for t, u, v in probes:
@@ -125,7 +126,7 @@ class Lagrangian:
             fd_v = (self.eval(t, u, v + h) - self.eval(t, u, v - h)) / (2 * h)
             for got, want, slot in ((self.d_u(t, u, v), fd_u, "u"),
                                     (self.d_v(t, u, v), fd_v, "v")):
-                if abs(got - want) > rel_tol * (1 + abs(want)):
+                if abs(got - want) > 1e-6 * (1 + abs(want)):
                     raise ValueError(
                         f"Lagrangian {self.name}: d_{slot} disagrees with "
                         f"central differences at (t,u,v)=({t},{u},{v})")
@@ -134,9 +135,8 @@ class Lagrangian:
         arrays = np.array(probes).T
         for name in ("eval", "d_u", "d_v", "d_uu", "d_uv", "d_vv"):
             fn = getattr(self, name)
-            contract = (f"Lagrangian {self.name}: in the float backend "
-                        f"{name} must work elementwise on numpy arrays of "
-                        f"t, u and v")
+            contract = (f"Lagrangian {self.name}: {name} must work "
+                        f"elementwise on numpy arrays of t, u and v")
             try:
                 got = np.asarray(fn(*arrays), dtype=float)
             except (TypeError, ValueError) as exc:
@@ -159,7 +159,7 @@ class Formulation(enum.Enum):
 class Boundary:
     """Boundary data.  kind='fixed' fixes f(a)=A (RIEMANN_A), the terminal
     fractional sum (RIEMANN_B), or f(a)=A and f(b-1)=B (CAPUTO);
-    kind='natural' leaves endpoints free."""
+    kind='natural' leaves endpoints free and takes no data."""
 
     kind: str
     A: object = None
@@ -224,9 +224,12 @@ class VariationalProblem:
                               else f"unknown boundary kind {bnd.kind!r}")
         if any(getattr(bnd, x) is None for x in case.needs):
             raise DomainError(case.missing)
+        for x in "AB":
+            if x not in case.needs and getattr(bnd, x) is not None:
+                raise DomainError(f"{form.name} {bnd.kind} case does not "
+                                  f"read {x}")
         object.__setattr__(self, "_case", case)
-        if not self.exact:
-            self.lagrangian.check_partials()
+        self.lagrangian.check_partials()
 
     # domain of f required by the formulation
     def f_domain(self):
@@ -364,22 +367,17 @@ def _el_shift(p: VariationalProblem) -> int:
 
 
 # Entries per stacked (rows x sum points) array of the float oracle, 128 kB
-# of float64: a chunk takes as many free coordinates as fit, so the
-# oracle's temporaries do not grow with N^2.
+# of float64: a float chunk takes as many free coordinates as fit, so the
+# oracle's temporaries do not grow with N^2.  An exact chunk takes one.
 _ORACLE_CHUNK = 1 << 14
-
-
-def _stencil_terms(lag, ts, us, vs, eu, ev, s):
-    """L at the points ts and the slot values us + s eu, vs + s ev."""
-    s = repeat(s)
-    return map(lag, ts, map(add, us, map(mul, eu, s)),
-               map(add, vs, map(mul, ev, s)))
 
 
 def _stencil_rows(lag, ts, us, vs, eu, ev, h) -> np.ndarray:
     """The five-point stencil of each row r of the stacked probes eu, ev:
     sum over the sum points of 8 (L(+h_r) - L(-h_r)) - (L(+2h_r) - L(-2h_r)),
     over 12 h_r, with L(s) at the slot values us + s eu_r, vs + s ev_r.
+    The arrays are float, or of rationals (dtype object) in the exact
+    backend; d takes the probes' dtype.
 
     h ev is formed once; the steps +-1 and +-2 scale it exactly.  The u
     slot of a basis function is one-hot (u is a shift of f), so L is
@@ -401,7 +399,7 @@ def _stencil_rows(lag, ts, us, vs, eu, ev, h) -> np.ndarray:
     def stencil(at):
         return 8 * (at(1) - at(-1)) - (at(2) - at(-2))
 
-    d = np.zeros(ev.shape)
+    d = np.zeros(ev.shape, dtype=ev.dtype)
     d[:, j0:] = stencil(lambda s: lag(ts, us, vs + s * hv))
     d[r, j0 + j] = stencil(lambda s: lag(tj, uj + s * hu, vj + s * hvj))
     return d.sum(axis=1) / (12 * h)
@@ -465,47 +463,36 @@ def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
     the bump reaches.
 
     Both slots are linear in f, so f's slot values us, vs are read once and
-    the slots of f + s e_u are us + s eu and vs + s ev, with eu, ev the
-    slots of the basis function e_u.  Past the first free coordinate the
-    slots are also shift-invariant, so the operator layer is probed at most
-    twice, however large N is: on e_u for the first two free coordinates,
-    the later rows being shifts of the second (see _probe_rows).  A term of
-    J before the first sum point where eu or ev is nonzero takes the same
-    arguments at every step of the stencil, so its difference is exactly 0;
-    only the later terms are evaluated.  The exact backend differences the
-    tail sums row by row, which equals differencing all of J.  The float
-    backend takes the probes of a chunk of free coordinates, at most
-    _ORACLE_CHUNK entries, as (rows x sum points) arrays and calls eval on
-    whole arrays (so eval must work elementwise on numpy arrays; see
-    Lagrangian); each row sums the terms' stencil differences over all the
-    sum points, in one reduction per chunk (see _stencil_rows).
+    the slots of f + s e_u are us + s eu and vs + s ev, with eu, ev those of
+    the basis function e_u, probed at most twice however large N is (see
+    _probe_rows).  A term of J before the first sum point where eu or ev is
+    nonzero takes the same arguments at every step of the stencil, so its
+    difference is exactly 0 and it is not evaluated.  Both backends run one
+    loop over chunks of free coordinates, whose probes are (rows x sum
+    points) arrays passed whole to eval (see Lagrangian and _stencil_rows):
+    as many rows as fit in _ORACLE_CHUNK entries in floats, one in
+    rationals, so that each row is evaluated from its own first reached
+    sum point.
     """
     lo, hi = p.f_domain()
     f = f.restrict(lo, hi)
-    ts, (us, vs) = _sum_points(p), _slots(p, f)
-    lag, m = p.lagrangian.eval, len(ts)
     free = p._free()
     if not free:
         raise DomainError("the problem has no free coordinate")
-    probes = _probe_rows(p, f)
-
-    out = []
-    if p.exact:
-        for eu, ev in zip(*probes(0, len(free))):
-            j = min(next(compress(count(), eu), m),
-                    next(compress(count(), ev), m))
-            tail = (ts[j:], us[j:], vs[j:], eu[j:], ev[j:])
-            pm = [sum(_stencil_terms(lag, *tail, s)) for s in (-2, -1, 1, 2)]
-            out.append((pm[0] - 8 * pm[1] + 8 * pm[2] - pm[3]) / 12)
+    dtype = object if p.exact else float
+    ts, us, vs, fv = (np.array(x, dtype=dtype) for x in
+                      (_sum_points(p), *_slots(p, f), f.values))
+    if p.exact:      # zero + 1 steps divide even an integer sum exactly
+        h, rows = fv * 0 + 1, 1
     else:
-        ts, us, vs = (np.array(x, dtype=float) for x in (ts, us, vs))
-        fv = np.abs(np.array(f.values, dtype=float))
-        rows = max(1, _ORACLE_CHUNK // m)
-        for k in range(0, len(free), rows):
-            chunk = free[k:k + rows]
-            eu, ev = probes(k, k + len(chunk))
-            h = 1e-3 * (1 + fv[chunk.start:chunk.stop])
-            out.extend(_stencil_rows(lag, ts, us, vs, eu, ev, h).tolist())
+        h, rows = 1e-3 * (1 + np.abs(fv)), max(1, _ORACLE_CHUNK // len(ts))
+    probes = _probe_rows(p, f)
+    out = []
+    for k in range(0, len(free), rows):
+        chunk = free[k:k + rows]
+        eu, ev = probes(k, k + len(chunk))
+        out.extend(_stencil_rows(p.lagrangian.eval, ts, us, vs, eu, ev,
+                                 h[chunk.start:chunk.stop]).tolist())
     return GridFn(lo + free[0], tuple(out))
 
 

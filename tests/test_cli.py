@@ -275,6 +275,17 @@ class TestSolve:
                      str(tmp_path / "s.csv")])
         assert code == 2
 
+    def test_unread_boundary_data_exit_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "p.json"
+        problem_config(cfgp, formulation="caputo",
+                       boundary={"kind": "natural", "A": 5})
+        out = tmp_path / "s.csv"
+        code = main(["solve", "--input", str(cfgp), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: bad config: CAPUTO natural case does not read A\n"
+        assert not out.exists()
+
     def test_nonconvergence_exit_1(self, tmp_path):
         cfgp = tmp_path / "p.json"
         problem_config(cfgp, formulation="riemann_a",

@@ -61,7 +61,8 @@ class TestLagrangian:
             bad.check_partials()
 
     def test_eval_must_take_arrays(self):
-        # math.sin takes scalars only; the float oracle calls eval on arrays
+        # math.sin takes scalars only; the oracle calls eval on arrays in
+        # both backends
         lag = Lagrangian("sine", eval=lambda t, u, v: v * v / 2 + math.sin(u),
                          d_u=lambda t, u, v: math.cos(u),
                          d_v=lambda t, u, v: v,
@@ -71,9 +72,9 @@ class TestLagrangian:
         with pytest.raises(ValueError, match="elementwise on numpy arrays"):
             make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=1.0),
                          lag=lag, exact=False)
-        # the exact backend never calls eval on arrays
-        make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=rat("1")),
-                     lag=lag)
+        with pytest.raises(ValueError, match="elementwise on numpy arrays"):
+            make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=rat("1")),
+                         lag=lag)
 
     def test_eval_must_be_elementwise(self):
         # a scalar per call passes the scalar probes but not the array one
@@ -148,20 +149,28 @@ class TestValidation:
             return "variational formulations requires a non-integer " \
                    "order, got 1"
         if form is Formulation.RIEMANN_A:
-            return None if kind == "fixed" and "A" in data \
-                else "RIEMANN_A requires fixed f(a) = A"
-        if alpha == "3/2":
+            if kind != "fixed" or "A" not in data:
+                return "RIEMANN_A requires fixed f(a) = A"
+            reads = "A"
+        elif alpha == "3/2":
             return f"{form.value} requires 0 < alpha < 1"
-        if kind == "periodic":
+        elif kind == "periodic":
             return "unknown boundary kind 'periodic'"
-        if kind == "natural":
-            return None
-        if form is Formulation.RIEMANN_B:
-            return None if "A" in data else \
-                "RIEMANN_B fixed case requires the terminal fractional sum " \
-                "value A"
-        return None if data == "AB" else \
-            "CAPUTO fixed case requires both A and B"
+        elif kind == "natural":
+            reads = ""
+        elif form is Formulation.RIEMANN_B:
+            if "A" not in data:
+                return "RIEMANN_B fixed case requires the terminal " \
+                       "fractional sum value A"
+            reads = "A"
+        elif data != "AB":
+            return "CAPUTO fixed case requires both A and B"
+        else:
+            reads = "AB"
+        # data the case does not read is refused, the first in "AB" order
+        unread = [x for x in data if x not in reads]
+        return f"{form.name} {kind} case does not read {unread[0]}" \
+            if unread else None
 
     @pytest.mark.parametrize(
         "form,kind,alpha,data",
@@ -1217,6 +1226,84 @@ class TestFloatOracle:
         for u, g, w in zip(pf.free_points(), got.values, want.values):
             h = 1e-3 * (1 + abs(ff(u)))
             assert abs(g - float(w)) <= 1.5 * np.finfo(float).eps * total / h
+
+
+class TestHessianReference:
+    """Newton's Jacobian against a second-order reference that shares no
+    code with its maps.  On the free block, J d is the derivative in s of
+    the gradient at f + s d: the five-point stencil in s of the exact
+    oracle, with unit steps, gives it exactly, since the gradient is at most
+    cubic in s for these Lagrangians.  The float product must match it
+    within TOL (1 + |reference|); the worst case measured reads 2.5e-15."""
+
+    CASES = TestAssembly.CASES
+    TOL = 1e-13
+
+    @staticmethod
+    def state(pe, seed):
+        """A rational f on f_domain() that holds the fixed boundary values at
+        the fixed ends, and a rational direction d on the free coordinates."""
+        free, bnd = pe._free(), pe.boundary
+        vals = list(TestPointwiseReference.draw(pe, seed).values)
+        if free.start:
+            vals[0] = bnd.A
+        if free.stop < len(vals):
+            vals[-1] = bnd.B
+        rng = random.Random(seed + 1)
+        d = [rational(rng.randint(-9, 9), rng.randint(1, 4)) for _ in free]
+        return vals, d
+
+    @pytest.mark.parametrize(
+        "case,N,anchor,lag",
+        list(product(CASES, (3, 8, 16), (0.0, 1 / 3),
+                     TestOracleReference.LAGS)),
+        ids=lambda v: f"{v[0].value}-{v[1]}-{v[2]}" if isinstance(v, tuple)
+        else v if isinstance(v, str) else f"{v:.3g}")
+    def test_jacobian_products_match_exact_oracle_stencil(self, case, N,
+                                                           anchor, lag):
+        pe = TestOracleReference.problem(case, N, anchor, True, lag)
+        pf = TestOracleReference.problem(case, N, anchor, False, lag)
+        free, lo = pe._free(), pe.f_domain()[0]
+        vals, d = self.state(pe, N)
+
+        def grad(s):
+            moved = list(vals)
+            for i, di in zip(free, d):
+                moved[i] += s * di
+            return gradient_oracle(pe, GridFn(lo, tuple(moved))).values
+
+        g = {s: grad(s) for s in (-2, -1, 1, 2)}
+        want = np.array([float((m2 - 8 * m1 + 8 * p1 - p2) / 12) for
+                         m2, m1, p1, p2 in zip(g[-2], g[-1], g[1], g[2])])
+        constrained = case[:2] == (Formulation.RIEMANN_B, "fixed")
+        x = np.array([float(vals[i]) for i in free] + [0.0] * constrained)
+        J = _jacobian(pf, x, _assembly(pf))
+        n = len(free)
+        got = J[:n, :n] @ np.array([float(di) for di in d])
+        err = np.abs(got - want) / (1 + np.abs(want))
+        assert err.max() <= self.TOL, err.max()
+
+    @pytest.mark.parametrize("N", [3, 8, 16])
+    @pytest.mark.parametrize("anchor", [0.0, 1 / 3], ids="{:.3g}".format)
+    def test_border_is_minus_the_terminal_sum_gradient(self, N, anchor):
+        # the multiplier's column and row are -d/df of the constrained
+        # value nabla_a^{-(1-alpha)} f(b-1), which is linear in f: probed on
+        # the basis functions through the exact GridFn operator
+        case = (Formulation.RIEMANN_B, "fixed", 0.4)
+        pe = TestOracleReference.problem(case, N, anchor, True, "quadratic")
+        pf = TestOracleReference.problem(case, N, anchor, False, "quadratic")
+        (lo, hi), a, n = pe.f_domain(), pe.grid.a, len(pe._free())
+        want = []
+        for i in pe._free():
+            e = GridFn(lo, tuple(rat("1") if k == i else rat("0")
+                                 for k in range(n)))
+            want.append(float(nabla_left_sum_fn(e, 1 - pe.alpha.alpha,
+                                                a)(hi)))
+        J = _jacobian(pf, np.zeros(n + 1), _assembly(pf))
+        want = np.array(want)
+        for got in (J[:-1, -1], J[-1, :-1]):
+            err = np.abs(got + want) / (1 + np.abs(want))
+            assert err.max() <= self.TOL, err.max()
 
 
 def _stencil_rows_per_row(lag, ts, us, vs, eu, ev, h):
