@@ -27,7 +27,8 @@ import numpy as np
 
 from .backend import _integers, is_exact, rational
 from .grid import DomainError, GridFn, _offset
-from .numerics import _order, minus_delta_n, nabla_n, weights
+from .numerics import (_DIRECT_MAX_LEN, _order, minus_delta_n, nabla_n,
+                       weights)
 
 __all__ = [
     "nabla_left_sum", "nabla_right_sum",
@@ -40,13 +41,16 @@ __all__ = [
 ]
 
 
-# Longest float convolution computed directly by np.convolve, O(n^2), and the
-# block length of the fast path past it.  Per-call time by length on a 2-core
-# Xeon (numpy 2.4), np.convolve against _float_left_conv:
+# _DIRECT_MAX_LEN = 512, defined in numerics, is the longest float convolution
+# computed directly by np.convolve, O(n^2), and the block length of the fast
+# path past it.  Per-call time by length on a 2-core Xeon (numpy 2.4),
+# np.convolve against _float_left_conv:
 #     n=1024: 220 us / 219 us;  n=4096: 4.1 ms / 1.3 ms;  n=5e4: 471 ms / 17 ms
 # so the two break even near 1024 and a limit between 512 and 1024 costs
 # nothing; at 512 every convolution of up to 512 points keeps np.convolve's
-# bits.
+# bits.  numerics splits the float weights at the same index: w_0..w_512
+# come from the scalar recurrence whatever K is, so such a convolution reads
+# the same weight bits too.
 #
 # The fast path is the online convolution of Hairer, Lubich & Schlichte (SIAM
 # J. Sci. Stat. Comput. 6, 1985): rows [lo, lo + size) split at mid; the
@@ -68,7 +72,6 @@ __all__ = [
 # rows of 1e5 points.
 # Non-finite inputs stay on np.convolve, where an inf reaches only the rows
 # after it rather than a whole FFT block.
-_DIRECT_MAX_LEN = 512
 
 
 def _float_left_conv(x, w):
@@ -105,14 +108,15 @@ def _float_left_conv(x, w):
 def _left_conv(values, w):
     """out[m] = sum_{k=0}^{m} w[k] values[m-k].
 
-    Float values are convolved with the float64 array that float `weights`
-    carry, or with any other w (such as the weights of an exact order)
-    converted to float64.  Exact values need w from `weights`: with
-    w[k] = W_k / D and values scaled to integers X_i over their common
-    denominator L, row m is the rational (sum_k W_k X_{m-k}) / (D L).
+    Float values are convolved with the float64 array that `weights`
+    returns for a float order, or with any other w (such as the weights of
+    an exact order) converted to float64.  Exact values need w from
+    `weights`: with w[k] = W_k / D and values scaled to integers X_i over
+    their common denominator L, row m is the rational
+    (sum_k W_k X_{m-k}) / (D L).
     """
     if not is_exact(values[0]):
-        w = np.asarray(getattr(w, "array", w), dtype=float)
+        w = np.asarray(w, dtype=float)
         out = _float_left_conv(np.asarray(values), w)
         return tuple(out.tolist())
     x, L = _integers(values)

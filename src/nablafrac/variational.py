@@ -47,12 +47,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Rational
 from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .backend import rational
 from .grid import DomainError, Grid, GridFn, _offset, shift_sigma
 from .numerics import FracOrder, _order, weights
 from .operators import (caputo_left, caputo_right, nabla_left_riemann,
@@ -61,6 +63,10 @@ from .operators import (caputo_left, caputo_right, nabla_left_riemann,
 __all__ = ["Lagrangian", "Formulation", "Boundary", "VariationalProblem",
            "Solution", "action", "first_variation", "eta_shift_decomposition",
            "el_residual", "el_residual_forms", "gradient_oracle", "solve"]
+
+# (t, u, v) points at which the Lagrangian self checks call eval and the
+# partials
+_PROBES = ((0.0, 0.7, -0.4), (2.0, -1.3, 0.9), (5.0, 0.2, 1.7))
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,8 @@ class Lagrangian:
     residual or Jacobian on float arrays of all the sum points.  A partial
     may return one scalar for all the points (d_uu = -omega^2, say).
     check_partials enforces this, on float arrays, when a problem is
-    constructed.
+    constructed; an exact problem also calls eval once on object arrays of
+    rationals (_check_exact_eval).
     """
 
     name: str
@@ -120,8 +127,7 @@ class Lagrangian:
         against their scalar calls.  A partial may return one scalar for
         all the points; eval may not."""
         h = 1e-6
-        probes = ((0.0, 0.7, -0.4), (2.0, -1.3, 0.9), (5.0, 0.2, 1.7))
-        for t, u, v in probes:
+        for t, u, v in _PROBES:
             fd_u = (self.eval(t, u + h, v) - self.eval(t, u - h, v)) / (2 * h)
             fd_v = (self.eval(t, u, v + h) - self.eval(t, u, v - h)) / (2 * h)
             for got, want, slot in ((self.d_u(t, u, v), fd_u, "u"),
@@ -132,21 +138,38 @@ class Lagrangian:
                         f"central differences at (t,u,v)=({t},{u},{v})")
         # numpy's array functions may round differently from the scalar
         # ones in the last bits, so the comparison allows for that
-        arrays = np.array(probes).T
+        arrays = np.array(_PROBES).T
         for name in ("eval", "d_u", "d_v", "d_uu", "d_uv", "d_vv"):
             fn = getattr(self, name)
-            contract = (f"Lagrangian {self.name}: {name} must work "
-                        f"elementwise on numpy arrays of t, u and v")
+            contract = self._contract(name)
             try:
                 got = np.asarray(fn(*arrays), dtype=float)
             except (TypeError, ValueError) as exc:
                 raise ValueError(contract) from exc
             if name != "eval" and got.shape == ():
-                got = np.broadcast_to(got, len(probes))
-            if got.shape != (len(probes),) or any(
+                got = np.broadcast_to(got, len(_PROBES))
+            if got.shape != (len(_PROBES),) or any(
                     abs(g - w) > 1e-12 * (1 + abs(w))
-                    for g, w in zip(got.tolist(), (fn(*x) for x in probes))):
+                    for g, w in zip(got.tolist(), (fn(*x) for x in _PROBES))):
                 raise ValueError(contract)
+
+    def _check_exact_eval(self) -> None:
+        """Exact self check: eval called once on object arrays of the
+        probe points as rationals must return one rational per point, as
+        the exact gradient oracle needs."""
+        arrays = np.array([[rational(str(x)) for x in probe]
+                           for probe in _PROBES], dtype=object).T
+        try:
+            got = self.eval(*arrays)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(self._contract("eval")) from exc
+        if np.shape(got) != (len(_PROBES),) or not all(
+                isinstance(x, Rational) for x in got):
+            raise ValueError(self._contract("eval"))
+
+    def _contract(self, name: str) -> str:
+        return (f"Lagrangian {self.name}: {name} must work elementwise on "
+                f"numpy arrays of t, u and v")
 
 
 class Formulation(enum.Enum):
@@ -230,6 +253,8 @@ class VariationalProblem:
                                   f"read {x}")
         object.__setattr__(self, "_case", case)
         self.lagrangian.check_partials()
+        if self.exact:
+            self.lagrangian._check_exact_eval()
 
     # domain of f required by the formulation
     def f_domain(self):
@@ -565,9 +590,9 @@ def _assembly(p: VariationalProblem):
     W = _toeplitz(weights(-al, m), N)
     Mv, su, c = W[1:, case.lo:], case.su, None
     if case.w1_column:                         # the point f(a)
-        Mv[:, 0] = -np.array(weights(1 - al, m), dtype=float)[:m]
+        Mv[:, 0] = -weights(1 - al, m)[:m]
     if case.border:                            # L_2(b)'s column
-        c = -np.array(weights(1 - al, m), dtype=float)[m - 1::-1]
+        c = -weights(1 - al, m)[m - 1::-1]
 
     free = p._free()
     fixed = _f_vector(p, 0.0)

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestFallingFactorial:
         assert falling_factorial(t, a) == pytest.approx(want, rel=1e-14)
 
 
+# The float weight contract: w_0..w_512 from the scalar recurrence, the tail
+# from one sequential product of the ratios (k + beta - 1)/k.
+FLOAT_ORDERS = [-1.98, -1.5, -0.5, 0.02, 0.5, 1.5, 0.123456789]
+
+
+def scalar_recurrence(beta, K):
+    w = [1.0]
+    for k in range(1, K + 1):
+        w.append(w[k - 1] * (k + beta - 1) / k)
+    return np.array(w)
+
+
 class TestWeights:
     def test_first_values_half(self):
         w = weights(rat("1/2"), 2)
@@ -121,35 +134,89 @@ class TestWeights:
         for j in range(1000):
             weights(1 + j / 1000.5, 3)
         assert len(numerics._weight_cache) <= 8
-        assert (True, 0.123456789) not in numerics._weight_cache
-        assert (False, rat("2/7")) not in numerics._weight_cache
-        assert weights(0.123456789, 40) == first_float
+        assert 0.123456789 not in numerics._weight_cache
+        assert (2, 7) not in numerics._weight_cache
+        assert weights(0.123456789, 40).tobytes() == first_float.tobytes()
         assert weights(rat("2/7"), 12) == first_exact
 
     def test_float_weights_carry_their_array(self):
         beta = 0.3141
         short = weights(beta, 3)
-        longer = weights(beta, 50)      # grows the cached list
+        longer = weights(beta, 50)      # grows the cached array
         again = weights(beta, 3)
         for w in (short, longer, again):
-            assert w.array.dtype == np.float64
-            assert w.array.tolist() == list(w)
-            assert not w.array.flags.writeable
-        assert again == short == tuple(short)
-        assert again.array.base is longer.array.base
+            assert type(w) is np.ndarray and w.dtype == np.float64
+            assert not w.flags.writeable
+        assert again.tobytes() == short.tobytes() == longer[:4].tobytes()
+        assert again.base is longer.base is numerics._weight_cache[beta]
 
     @pytest.mark.parametrize("beta", [0.2718, rat("3/11")],
                              ids=["float", "exact"])
     def test_repeated_count_shares_the_tuple(self, beta):
+        if isinstance(beta, float):
+            def same(x, y):      # views of the same cached entries
+                return x.base is y.base and len(x) == len(y)
+
+            def equal(x, y):     # the same bits
+                return x.tobytes() == y.tobytes()
+        else:
+            same, equal = operator.is_, operator.eq
         first = weights(beta, 20)
-        assert weights(beta, 20) is first
+        assert same(weights(beta, 20), first)
         shorter = weights(beta, 5)
-        assert shorter == first[:6]
-        assert weights(beta, 5) is shorter
+        assert equal(shorter, first[:6])
+        assert same(weights(beta, 5), shorter)
         longer = weights(beta, 40)          # grows the cached list
         again = weights(beta, 20)
-        assert again == first and again is not first
-        assert weights(beta, 40)[:21] == again == longer[:21]
+        assert equal(again, first) and not same(again, first)
+        assert equal(weights(beta, 40)[:21], again)
+        assert equal(again, longer[:21])
+
+
+    @pytest.mark.parametrize("beta", FLOAT_ORDERS)
+    def test_head_is_the_scalar_recurrence(self, beta):
+        want = scalar_recurrence(beta, 512).tobytes()
+        numerics._weight_cache.pop(beta, None)
+        assert weights(beta, 512).tobytes() == want
+        weights(beta, 5000)                 # grows past the head
+        assert weights(beta, 512).tobytes() == want
+        assert weights(beta, 513)[:513].tobytes() == want
+
+    @pytest.mark.parametrize("beta", FLOAT_ORDERS)
+    def test_bits_do_not_depend_on_growth(self, beta):
+        K = 50_000
+        numerics._weight_cache.pop(beta, None)
+        fresh = weights(beta, K)
+        numerics._weight_cache.pop(beta, None)
+        for k in (100, 600, 4097, 20_000):
+            weights(beta, k)
+        grown = weights(beta, K)
+        for j in range(8):
+            weights(2 + j / 7.5, 3)
+        assert beta not in numerics._weight_cache
+        rebuilt = weights(beta, K)
+        assert fresh.tobytes() == grown.tobytes() == rebuilt.tobytes()
+
+    @pytest.mark.parametrize("beta", FLOAT_ORDERS)
+    def test_error_against_long_double(self, beta):
+        K = 50_000
+        ks = np.arange(1, K + 1, dtype=np.longdouble)
+        ratios = (ks + np.longdouble(beta) - 1) / ks
+        want = np.concatenate(([np.longdouble(1)], np.cumprod(ratios)))
+        err = np.abs((weights(beta, K) - want) / want)
+        assert err.max() <= 2e-12
+
+    @pytest.mark.parametrize("beta", FLOAT_ORDERS)
+    def test_read_only_prefix(self, beta):
+        w = weights(beta, 1000)
+        with pytest.raises(ValueError):
+            w[3] = 0.0
+        with pytest.raises(ValueError):
+            numerics._weight_cache[beta][700] = 0.0
+        for K in (0, 300, 512, 700):
+            short = weights(beta, K)
+            assert len(short) == K + 1 and not short.flags.writeable
+            assert short.tobytes() == w[:K + 1].tobytes()
 
 
 class TestNablaRisingPower:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -96,6 +97,27 @@ class TestLagrangian:
 
     def test_partials_may_return_a_scalar(self):
         Lagrangian("sine", **self.ELEMENTWISE).check_partials()
+
+    def test_exact_eval_must_take_rational_arrays(self):
+        # np.sin has no Fraction loop: the float problem builds, the exact
+        # one is refused at construction, before any oracle call
+        lag = Lagrangian("sine", **self.ELEMENTWISE)
+        make_problem(Formulation.RIEMANN_B, Boundary("natural"), lag=lag,
+                     exact=False)
+        with pytest.raises(ValueError, match="eval must work elementwise "
+                           "on numpy arrays") as info:
+            make_problem(Formulation.RIEMANN_B, Boundary("natural"), lag=lag)
+        assert isinstance(info.value.__cause__, TypeError)
+
+    def test_exact_eval_must_return_rationals(self):
+        # a float coefficient turns every exact value into a float
+        lag = replace(Lagrangian.quadratic_potential(rat("3/2")),
+                      eval=lambda t, u, v: v * v / 2 - 2.25 * u * u / 2)
+        make_problem(Formulation.RIEMANN_B, Boundary("natural"), lag=lag,
+                     exact=False)
+        with pytest.raises(ValueError, match="eval must work elementwise "
+                           "on numpy arrays"):
+            make_problem(Formulation.RIEMANN_B, Boundary("natural"), lag=lag)
 
     @pytest.mark.parametrize("name,partial", [
         ("d_u", lambda t, u, v: math.cos(u)),
