@@ -209,6 +209,8 @@ def _sidecar(sol: Solution) -> dict:
     return {"gradient_norm": sol.gradient_norm,
             "iterations": sol.iterations,
             "converged": sol.converged,
+            "status": sol.status,
+            "path": sol.path,
             "max_el_residual": sol.max_el_residual}
 
 

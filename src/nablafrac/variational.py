@@ -39,14 +39,19 @@ stencil, with unit steps in rationals and h = 1e-3 (1 + |f(u)|) in floats
 of probes, float or of rationals, so eval, like the partials, must work
 elementwise on numpy arrays.
 
-solve runs damped Newton and, when that stalls or reaches max_iter, one
-undamped retry from the same start, kept only if it converges.
+solve takes full Newton steps for as long as each one lowers |r|_2.  When
+one does not, it traces the Newton homotopy R(x) - (1 - lam) R(x0) from the
+start (x0, 0) to lam = 1 by pseudo-arclength continuation, with a corrector
+that solves the Jacobian bordered by R(x0) and the path's tangent, and
+finishes at lam = 1 with full Newton steps.  Solution.status says how a
+solve ended and Solution.path whether it took the continuation.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from numbers import Rational
 from operator import add
 from typing import Callable, Optional, Sequence
@@ -525,12 +530,20 @@ def gradient_oracle(p: VariationalProblem, f: GridFn) -> GridFn:
 
 @dataclass(frozen=True)
 class Solution:
+    """A solve's result; status ("converged", "max_iter" or "stalled")
+    and path ("newton" or "continuation") say how it ended (see solve)."""
+
     f: GridFn
     el_residual: GridFn
     gradient_norm: float
     iterations: int
-    converged: bool
+    status: str
+    path: str
     multiplier: Optional[float] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
     @property
     def max_el_residual(self) -> float:
@@ -629,85 +642,216 @@ def _residual(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
     return r
 
 
-def _jacobian(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
+def _jacobian(p: VariationalProblem, x: np.ndarray, assembly,
+              cache: Optional[dict] = None) -> np.ndarray:
     """The Hessian of J on the free coordinates, V^T (L_uv U + L_vv V) +
     U^T (L_uu U + L_uv V), bordered in the RIEMANN_B fixed case: symmetric
     in every formulation.
 
-    V^T L_vv V is one product.  U^T selects the rows i (see _assembly), so
-    the rest is added without forming U: B = (L_uv V)[i] as the first len(i)
-    rows and, transposed, columns, and L_uu[i] on the diagonal.  B is
-    skipped when L_uv is zero, as in both built-in Lagrangians."""
+    V^T L_vv V is one product.  Given a cache (a dict kept for one solve)
+    and an L_vv with one value at every sum point, as in both built-in
+    Lagrangians, it is that value times the Gram matrix V^T V, formed into
+    the cache on first use.  The Gram matrix is the product with L_vv = 1,
+    bit for bit: V^T V of a copy of V, since numpy sends V^T V itself to a
+    symmetric BLAS routine that rounds otherwise.  U^T selects the rows i
+    (see _assembly), so the rest is added without forming U: B = (L_uv V)[i]
+    as the first len(i) rows and, transposed, columns, and L_uu[i] on the
+    diagonal.  B is skipped when L_uv is zero, as in both built-in
+    Lagrangians."""
     _, i, _, V, _, c = assembly
     lag = p.lagrangian
     duu, duv, dvv = _partials(x, assembly, lag.d_uu, lag.d_uv, lag.d_vv)
-    J = V.T @ (dvv[:, None] * V)
+    if cache is not None and (dvv == dvv[0]).all():
+        if "gram" not in cache:
+            cache["gram"] = V.T @ V.copy()
+        J = dvv[0] * cache["gram"]
+    else:
+        J = V.T @ (dvv[:, None] * V)
     n = len(i)
     if duv.any():
         B = duv[i, None] * V[i]
         J[:n] += B
         J[:, :n] += B.T
-    J[range(n), range(n)] += duu[i]
+    J.ravel()[:n * (len(J) + 1):len(J) + 1] += duu[i]   # J[:n, :n]'s diagonal
     if c is not None:
         J[:-1, -1] = J[-1, :-1] = c
     return J
 
 
-def _newton(p: VariationalProblem, assembly, x: np.ndarray, r: np.ndarray,
-            tol: float, max_iter: int, damped: bool):
-    """Newton steps from x, whose residual is r, until max |r| <= tol, or
-    max_iter steps, or a stall; returns (x, r, steps, converged).
+# A solve's continuation takes at most _PATH_STEPS * max_iter predictor
+# steps over its traces: 100 at the default max_iter = 50, where the
+# benchmark's continued quartic problems at N = 64 (seeds 1101-1110) took
+# 45 in the median and 82 at most.
+_PATH_STEPS = 2
+# Predictor step sizes, in arclength of (x, lam): the first, the largest,
+# and the floor below which a trace ends.
+_H_START, _H_MAX, _H_MIN = 0.1, 1.0, 1e-6
+# The corrector accepts a point once the error left, estimated from the
+# contraction of its last two corrections, is at most _CTOL (1 + |y|); it
+# fails when a correction does not shrink by _CONTRACT or after
+# _CORRECTOR_ITER of them.  A step accepted after at most _FAST corrections
+# doubles the next one.
+_CTOL, _CONTRACT, _CORRECTOR_ITER, _FAST = 1e-4, 0.5, 5, 2
 
-    Damped, a step is halved up to 30 times until |r|_2 falls (or the
-    candidate meets tol), and the run stalls when no halving does; a
-    singular Jacobian raises DomainError.  Undamped, every step is a full
-    one, and the run stops at a singular Jacobian or at the first
-    non-finite residual, without raising.
-    """
+
+def _newton(residual, jacobian, x: np.ndarray, r: np.ndarray, tol: float,
+            max_iter: int):
+    """Full Newton steps from x, whose residual is r, for as long as each
+    one lowers |r|_2 or meets max |r| <= tol, up to max_iter of them.
+    Returns (x, steps, status): the last accepted iterate, the steps taken
+    and "converged", "max_iter" or "stalled"; a rejected step, a singular
+    Jacobian or a non-finite step stalls the run."""
     steps = 0
-    converged = bool(np.max(np.abs(r)) <= tol)
-    while not converged and steps < max_iter:
-        J = _jacobian(p, x, assembly)
+    while not np.max(np.abs(r)) <= tol:
+        if steps == max_iter:
+            return x, steps, "max_iter"
         try:
-            dx = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            if not damped:
-                break
-            raise DomainError("singular Jacobian in Newton solve") from exc
-        step, best = 1.0, None
-        for _ in range(30 if damped else 1):
-            cand = x + step * dx
-            rc = _residual(p, cand, assembly)
-            if np.max(np.abs(rc)) <= tol or (
-                    np.linalg.norm(rc) < np.linalg.norm(r) if damped
-                    else np.isfinite(rc).all()):
-                best = (cand, rc)
-                break
-            step /= 2
-        if best is None:
-            break
-        x, r = best
+            cand = x + np.linalg.solve(jacobian(x), -r)
+        except np.linalg.LinAlgError:
+            return x, steps, "stalled"
+        rc = residual(cand)
+        if not (np.max(np.abs(rc)) <= tol
+                or np.linalg.norm(rc) < np.linalg.norm(r)):
+            return x, steps, "stalled"
+        x, r = cand, rc
         steps += 1
-        converged = bool(np.max(np.abs(r)) <= tol)
-    return x, r, steps, converged
+    return x, steps, "converged"
+
+
+def _correct(residual, jacobian, r0, M, rhs, z):
+    """Newton's method on H(y) = 0 within the hyperplane through the
+    predictor z normal to the tangent t, which borders M (see _path).
+    Returns (y, the next tangent unnormalised, corrections), or None when
+    the corrector fails (see _CTOL) or H turns non-finite or M singular.
+
+    Each iteration solves M once with two right-hand sides: (-H, 0), the
+    correction, which keeps t^T (y - z) = 0, and (0, 1), whose solution
+    solves J s + R(x0) s_lam = 0 and t^T s = 1: the tangent at y, oriented
+    along t."""
+    n, prev = len(r0), np.inf
+    for k in range(1, _CORRECTOR_ITER + 1):
+        H = residual(z[:-1]) - (1 - z[-1]) * r0
+        if not np.isfinite(H).all():
+            return None
+        M[:n, :n], rhs[:n, 0] = jacobian(z[:-1]), -H
+        try:
+            dz, tz = np.linalg.solve(M, rhs).T
+        except np.linalg.LinAlgError:
+            return None
+        z = z + dz
+        size = np.linalg.norm(dz)
+        left = size if k == 1 else size * size / prev
+        if left <= _CTOL * (1 + np.linalg.norm(z)):
+            return z, tz, k
+        if not size <= _CONTRACT * prev:
+            return None
+        prev = size
+    return None
+
+
+def _path(residual, jacobian, x0: np.ndarray):
+    """Pseudo-arclength continuation (Keller) of the Newton homotopy
+    H(x, lam) = R(x) - (1 - lam) R(x0) from (x0, 0).  Yields, per predictor
+    step, the accepted path point y = (x, lam) and its unit tangent t, or
+    None when the step was rejected.  Ends when the step size falls below
+    _H_MIN, or at once when R(x0) is not finite or J(x0) singular.
+
+    The path passes folds of lam, where J is singular but the bordered
+    matrix M = [[J, R(x0)], [t^T, 0]] is not, and keeps its direction:
+    t^T t_prev > 0 (see _correct).  The first tangent solves M bordered by
+    e_lam instead, so it is (dx0, 1) normalised, dx0 the Newton step at x0.
+    The step size starts at _H_START; an accepted step may double it, up
+    to _H_MAX (see _FAST), and a rejected one is retried at half the
+    size."""
+    n = len(x0)
+    r0 = residual(x0)
+    if not np.isfinite(r0).all():
+        return
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n], M[:n, n], M[n, n] = jacobian(x0), r0, 1.0
+    rhs = np.zeros((n + 1, 2))
+    rhs[n, 1] = 1.0
+    try:
+        t = np.linalg.solve(M, rhs[:, 1])
+    except np.linalg.LinAlgError:
+        return
+    t /= np.linalg.norm(t)
+    y, h = np.append(x0, 0.0), _H_START
+    while h >= _H_MIN:
+        M[n] = t
+        got = _correct(residual, jacobian, r0, M, rhs, y + h * t)
+        if got is None:
+            h /= 2
+            yield None
+            continue
+        y, t, k = got
+        t /= np.linalg.norm(t)
+        if k <= _FAST:
+            h = min(2 * h, _H_MAX)
+        yield y, t
+
+
+def _continue(residual, jacobian, x0: np.ndarray, tol: float,
+              max_iter: int):
+    """The continuation of a solve whose full Newton steps from x0 stalled
+    (see solve).  Returns (x, steps, status): x is the converged point, or
+    None unless status is "converged"; steps counts the predictor and final
+    Newton steps."""
+    try:
+        dx0 = np.linalg.solve(jacobian(x0), -residual(x0))
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("singular Jacobian in Newton solve") from exc
+    budget, steps = _PATH_STEPS * max_iter, 0
+    for start in (x0, x0 + dx0):
+        prev = np.append(start, 0.0)
+        for point in islice(_path(residual, jacobian, start), budget):
+            budget, steps = budget - 1, steps + 1
+            if point is None:
+                continue
+            y = point[0]
+            if (prev[-1] < 1) != (y[-1] < 1):
+                # x at lam = 1, on the chord between the two path points
+                s = (1 - prev[-1]) / (y[-1] - prev[-1])
+                x1 = prev[:-1] + s * (y[:-1] - prev[:-1])
+                x, more, status = _newton(residual, jacobian, x1,
+                                          residual(x1), tol, max_iter)
+                steps += more
+                if status == "converged":
+                    return x, steps, status
+            prev = y
+    return None, steps, "max_iter" if budget == 0 else "stalled"
 
 
 def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
           tol: float = 1e-10, max_iter: int = 50) -> Solution:
-    """Damped Newton on the square residual system (float backend).
+    """Newton's method on the square residual system (float backend),
+    continued along a homotopy path when full steps stall.
 
     Convergence means max |residual row| <= tol; the returned gradient_norm
     is recomputed independently by the gradient oracle (projected onto the
     constraint manifold in the RIEMANN_B fixed case).
 
-    A damped run that stalls (no halving of a step lowers the residual) or
-    reaches max_iter is retried once from the same start with full Newton
-    steps, up to max_iter of them.  The retry's result is taken only if it
-    converges, and then iterations counts the steps of both runs; otherwise
-    the damped run's result is returned as it was.  The retry never raises:
-    a singular Jacobian, a non-finite residual or an arithmetic error in
-    the Lagrangian's partials ends it.  A singular Jacobian in the damped
-    run raises DomainError.
+    From the start x0 (zero, or initial on the free coordinates) the solve
+    takes full Newton steps for as long as each one lowers |r|_2 or meets
+    tol, up to max_iter of them; a solve that ends there has path "newton".
+    When a full step fails to lower |r|_2 (path "continuation"), the solve
+    traces the Newton homotopy R(x) - (1 - lam) R(x0) from (x0, 0) by
+    pseudo-arclength continuation (see _path).  Where the trace crosses
+    lam = 1 it interpolates x between the two path points around the
+    crossing and finishes with full Newton steps, as above; if they fail,
+    the trace goes on to its next crossing.  A trace that ends without a
+    converged crossing is followed by a second from x0 + dx0, dx0 the
+    Newton step at x0.  The traces share a budget of _PATH_STEPS * max_iter
+    predictor steps, accepted or rejected.
+
+    iterations counts the full Newton steps, the predictor steps and the
+    final Newton steps.  status is "converged"; "max_iter" when the Newton
+    steps or the predictor budget ran out; or "stalled" when a full step
+    failed and the traces ended without converging.  An unconverged solve
+    returns the last iterate of its first full Newton steps.  A singular
+    Jacobian at x0 raises DomainError.  From the second Jacobian of a solve
+    on, V^T V is computed once and kept when L_vv is constant (see
+    _jacobian), so a one-step solve holds no more than J.
     """
     if p.exact:
         raise DomainError("solve runs in the float backend")
@@ -722,17 +866,27 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
         x0 = np.array([float(v) for v in
                        initial.restrict(free[0], free[-1]).values] +
                       ([0.0] if constrained else []))
-    r0 = _residual(p, x0, assembly)
-    x, _, iterations, converged = _newton(p, assembly, x0, r0, tol,
-                                          max_iter, damped=True)
-    if not converged:
-        try:
-            xr, _, steps, converged = _newton(p, assembly, x0, r0, tol,
-                                              max_iter, damped=False)
-        except ArithmeticError:
-            pass
-        if converged:
-            x, iterations = xr, iterations + steps
+    cache = None
+
+    def residual(x):
+        return _residual(p, x, assembly)
+
+    def jacobian(x):
+        nonlocal cache
+        J = _jacobian(p, x, assembly, cache)
+        if cache is None:       # the Gram matrix from the second Jacobian on
+            cache = {}
+        return J
+
+    x, iterations, status = _newton(residual, jacobian, x0, residual(x0),
+                                    tol, max_iter)
+    path = "newton"
+    if status == "stalled":
+        path = "continuation"
+        xc, steps, status = _continue(residual, jacobian, x0, tol, max_iter)
+        iterations += steps
+        if status == "converged":
+            x = xc
 
     lam = float(x[-1]) if constrained else None
     f = _build_f(p, x[:-1] if constrained else x)
@@ -743,5 +897,5 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
         gvals = gvals + lam * c                # the multiplier's column
     return Solution(f=f, el_residual=el,
                     gradient_norm=float(np.max(np.abs(gvals))),
-                    iterations=iterations, converged=converged,
+                    iterations=iterations, status=status, path=path,
                     multiplier=lam)

@@ -1,5 +1,5 @@
-"""Smoke test of the example scripts in scripts/, which drive `solve` with
-warm starts: each runs as its own process at a small size."""
+"""Smoke test of the example scripts in scripts/, which drive `solve` and
+its continuation path: each runs as its own process at a small size."""
 import os
 import subprocess
 import sys
@@ -20,10 +20,19 @@ def run_script(name, *args):
 
 
 def test_quartic_feasibility():
+    # at A = 1, alpha = 1/2 the trace from zero passes folds of lam before
+    # it reaches lam = 1
     lines = run_script("quartic_feasibility.py", "--alphas", "0.5",
-                       "--sizes", "6", "--bisections", "3")
-    assert lines[0].split() == ["alpha", "N", "fold", "amplitude"]
-    assert lines[1].split()[:2] == ["0.5", "6"]
+                       "--sizes", "6")
+    assert lines[0].split() == ["alpha", "N", "point", "lam", "negative"]
+    rows = [line.split() for line in lines[1:]]
+    assert all(row[:2] == ["0.5", "6"] for row in rows)
+    assert [row[2] for row in rows] == ["fold"] * (len(rows) - 1) + ["end"]
+    assert len(rows) > 1 and float(rows[-1][3]) >= 1
+    # a fold changes the count of J's negative eigenvalues by one
+    counts = [int(row[4]) for row in rows]
+    assert counts[0] == 1
+    assert all(abs(a - b) == 1 for a, b in zip(counts, counts[1:-1]))
 
 
 def test_oscillator_alpha_sweep():

@@ -39,6 +39,16 @@ def _u_of(p, f, t):
     return f(t - 1) if p.formulation is Formulation.CAPUTO else f(t)
 
 
+# L = u^2/2 + |v|^(3/2): L_vv = 3/4 |v|^(-1/2) varies with v, and is
+# infinite at v = 0
+THREE_HALVES = Lagrangian(
+    "three-halves", eval=lambda t, u, v: u * u / 2 + abs(v) ** 1.5,
+    d_u=lambda t, u, v: u,
+    d_v=lambda t, u, v: 1.5 * np.copysign(abs(v) ** 0.5, v),
+    d_uu=lambda t, u, v: 1.0, d_uv=lambda t, u, v: 0.0,
+    d_vv=lambda t, u, v: 0.75 * abs(v) ** -0.5)
+
+
 def make_problem(form, bnd, alpha="1/2", N=8, lag=None, exact=True):
     lag = lag or Lagrangian.quadratic_potential(
         rat("3/2") if exact else 1.5)
@@ -428,7 +438,7 @@ class TestSolve:
         p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=0.1),
                          lag=Lagrangian.quartic_potential(), exact=False)
         sol = solve(p, tol=1e-11)
-        assert sol.converged
+        assert (sol.status, sol.path) == ("converged", "newton")
         assert sol.gradient_norm < 1e-9
 
     def test_natural_solution_trivial(self):
@@ -464,26 +474,14 @@ class TestSolve:
     def test_caputo_fixed_never_reads_the_anchor(self):
         # L = u^2/2 + |v|^(3/2) has d_vv infinite at v = 0; the fixed system
         # sums over a+1 .. b-1 only, so t = a (where v = 0) is never read
-        lag = Lagrangian(
-            "three-halves", eval=lambda t, u, v: u * u / 2 + abs(v) ** 1.5,
-            d_u=lambda t, u, v: u,
-            d_v=lambda t, u, v: 1.5 * np.copysign(abs(v) ** 0.5, v),
-            d_uu=lambda t, u, v: 1.0, d_uv=lambda t, u, v: 0.0,
-            d_vv=lambda t, u, v: 0.75 * abs(v) ** -0.5)
         p = make_problem(Formulation.CAPUTO, Boundary("fixed", A=1.0, B=0.5),
-                         lag=lag, exact=False)
+                         lag=THREE_HALVES, exact=False)
         sol = solve(p)
         assert sol.converged
         assert sol.f(0) == 1.0 and sol.f(7) == 0.5
         assert sol.gradient_norm <= 1e-8
 
-    def test_nonconvergence_reported(self):
-        p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=1.0),
-                         lag=Lagrangian.quartic_potential(), exact=False)
-        sol = solve(p, max_iter=8)  # beyond the fold, no solution to find
-        assert not sol.converged
-
-    # quartic problems at N = 64 on which damped Newton from zero stalls
+    # quartic problems at N = 64 on which full Newton steps from zero stall
     STALLS = {
         "riemann_a-converges": (Formulation.RIEMANN_A, 1.7400267356551151,
                                 0.08557734934827463, None),
@@ -491,6 +489,20 @@ class TestSolve:
                              0.05334405299466591, 0.0873154604547306),
         "riemann_a-fails": (Formulation.RIEMANN_A, 1.3884480657427773,
                             -0.06247371553300121, None),
+        # problems of the solve_newton benchmark (seeds 1101-1110) that
+        # damped Newton with an undamped retry failed to solve
+        "riemann_a-alpha-0.76": (Formulation.RIEMANN_A, 0.7630205611332143,
+                                 -0.06972663739597162, None),
+        "riemann_a-alpha-0.82": (Formulation.RIEMANN_A, 0.8174410745198043,
+                                 -0.06070122782972964, None),
+        "riemann_a-alpha-1.22": (Formulation.RIEMANN_A, 1.2224185204659204,
+                                 -0.08901870944982532, None),
+        "riemann_a-small-A": (Formulation.RIEMANN_A, 1.718936266030752,
+                              -0.005119885579802849, None),
+        "caputo-alpha-0.83": (Formulation.CAPUTO, 0.8319029345071227,
+                              -0.06504289918475228, -0.061482254402672076),
+        "caputo-alpha-0.47": (Formulation.CAPUTO, 0.467584665705162,
+                              0.08431741977346405, 0.05092882883944161),
     }
 
     @classmethod
@@ -501,50 +513,84 @@ class TestSolve:
                                   Lagrangian.quartic_potential())
 
     @staticmethod
-    def runs(monkeypatch):
-        """Record each _newton run of a solve: (damped, steps, converged,
-        x)."""
-        newton, runs = variational._newton, []
+    def newton_run(p, x):
+        """The full Newton steps of a solve from x, without continuation:
+        (last iterate, steps, status)."""
+        assembly = _assembly(p)
 
-        def recorded(*args, damped):
-            x, r, steps, converged = newton(*args, damped=damped)
-            runs.append((damped, steps, converged, x))
-            return x, r, steps, converged
+        def residual(y):
+            return _residual(p, y, assembly)
 
-        monkeypatch.setattr(variational, "_newton", recorded)
-        return runs
+        return variational._newton(
+            residual, lambda y: _jacobian(p, y, assembly), x, residual(x),
+            1e-10, 50)
 
-    @pytest.mark.parametrize("name", ["riemann_a-converges",
-                                      "caputo-converges"])
-    def test_stalled_solve_retried_undamped(self, monkeypatch, name):
-        p = self.stall(name)
-        runs = self.runs(monkeypatch)
+    @staticmethod
+    def quartic_n8():
+        # the fixed-start quartic problem at A = 1: full steps from zero
+        # stall past the first fold of its solution branch
+        return make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=1.0),
+                            lag=Lagrangian.quartic_potential(), exact=False)
+
+    @pytest.mark.parametrize("name", [*STALLS, "n8"])
+    def test_stalled_solve_converges_by_continuation(self, name):
+        p = self.quartic_n8() if name == "n8" else self.stall(name)
+        x0 = np.zeros(len(p._free()))
+        assert self.newton_run(p, x0)[2] == "stalled"
         sol = solve(p)
-        (d1, n1, c1, _), (d2, n2, c2, x2) = runs
-        assert (d1, c1, d2, c2) == (True, False, False, True)
-        assert sol.converged and sol.iterations == n1 + n2
-        assert sol.f == _build_f(p, x2)
+        assert (sol.status, sol.path) == ("converged", "continuation")
+        assert sol.converged
         assert sol.max_el_residual <= 1e-10 and sol.gradient_norm <= 1e-9
 
-    def test_failed_retry_keeps_the_damped_result(self, monkeypatch):
-        p = self.stall("riemann_a-fails")
-        runs = self.runs(monkeypatch)
-        sol = solve(p)
-        (d1, n1, c1, x1), (d2, _, c2, _) = runs
-        assert (d1, c1, d2, c2) == (True, False, False, False)
-        assert not sol.converged
-        assert sol.iterations == n1 == 38
-        assert sol.f == _build_f(p, x1)
+    @pytest.mark.parametrize("form,kind,alpha,N,seed", [
+        (Formulation.RIEMANN_B, "fixed", 0.8, 16, None),
+        (Formulation.CAPUTO, "natural", 0.7, 16, 1)],
+        ids=["riemann_b-fixed", "caputo-natural"])
+    def test_bordered_and_natural_problems_continue(self, form, kind,
+                                                    alpha, N, seed):
+        # the multiplier of the bordered problem, and a natural problem's
+        # start away from zero, need no code of their own
+        bnd = Boundary("fixed", A=0.5) if kind == "fixed" else Boundary(kind)
+        p = VariationalProblem(Grid(0, N), FracOrder(alpha), form, bnd,
+                               Lagrangian.quartic_potential())
+        initial = None
+        if seed is not None:
+            lo, hi = p.f_domain()
+            initial = GridFn(lo, tuple(np.random.default_rng(seed).uniform(
+                -1, 1, int(hi - lo) + 1).tolist()))
+        sol = solve(p, initial)
+        assert (sol.status, sol.path) == ("converged", "continuation")
+        assert sol.max_el_residual <= 1e-10 and sol.gradient_norm <= 1e-9
+        if kind == "fixed":
+            got = nabla_left_sum(sol.f, 1 - alpha, 0, N - 1)
+            assert got == pytest.approx(0.5, abs=1e-10)
 
-    def test_converged_solve_is_not_retried(self, monkeypatch):
+    def test_full_steps_keep_the_product_bits(self):
+        # a solve that converges on full steps takes the Gram matrix from
+        # its second Jacobian on, and ends on the bits of Newton's method
+        # with the product V^T (L_vv V) at every step
         p = make_problem(Formulation.RIEMANN_A, Boundary("fixed", A=0.1),
-                         lag=Lagrangian.quartic_potential(), exact=False)
-        runs = self.runs(monkeypatch)
-        assert solve(p).converged
-        (damped, _, converged, _), = runs
-        assert damped and converged
+                         lag=Lagrangian.quartic_potential(), N=64,
+                         exact=False)
+        x, steps, status = self.newton_run(p, np.zeros(len(p._free())))
+        sol = solve(p)
+        assert (sol.status, sol.path) == ("converged", "newton")
+        assert status == "converged" and steps > 1
+        assert sol.iterations == steps
+        assert sol.f == _build_f(p, x)
 
-    def test_singular_jacobian_raises_in_the_damped_run(self):
+    def test_budget_too_small_reports_max_iter(self):
+        # the traces share 2 max_iter predictor steps; an unconverged solve
+        # returns the last iterate of its first Newton run
+        p = self.stall("riemann_a-fails")
+        x, steps, _ = self.newton_run(p, np.zeros(len(p._free())))
+        sol = solve(p, max_iter=3)
+        assert (sol.status, sol.path) == ("max_iter", "continuation")
+        assert not sol.converged
+        assert sol.iterations >= steps + 2 * 3
+        assert sol.f == _build_f(p, x)
+
+    def test_singular_jacobian_at_the_start_raises(self):
         # L = u + v: every second partial is 0, so J = 0
         lag = Lagrangian("linear", eval=lambda t, u, v: u + v,
                          d_u=lambda t, u, v: 1.0, d_v=lambda t, u, v: 1.0,
@@ -554,15 +600,11 @@ class TestSolve:
                          lag=lag, exact=False)
         with pytest.raises(DomainError, match="singular Jacobian"):
             solve(p)
-        assembly = _assembly(p)
-        x = np.zeros(len(p._free()))
-        r = _residual(p, x, assembly)
-        got = variational._newton(p, assembly, x, r, 1e-10, 50, damped=False)
-        assert got[2:] == (0, False)
 
-    def test_retry_stops_at_a_non_finite_residual(self, monkeypatch):
+    def test_walled_lagrangian_ends_unconverged(self):
         # L_1 = u - 3 up to |u| = 1.5 and infinite past it: the full step
-        # lands at u = 3, where the residual is not finite
+        # lands at u = 3, where the residual is not finite, and the path
+        # x = 3 lam of the homotopy runs into the wall at lam = 1/2
         def d_u(t, u, v):
             return np.where(np.abs(u) <= 1.5, u - 3, np.inf)
 
@@ -573,29 +615,9 @@ class TestSolve:
         p = VariationalProblem(Grid(0, 8), FracOrder(0.5),
                                Formulation.RIEMANN_B, Boundary("natural"),
                                lag)
-        runs = self.runs(monkeypatch)
         sol = solve(p)
-        (d1, n1, c1, x1), (d2, n2, c2, _) = runs
-        assert (d1, c1, d2, c2, n2) == (True, False, False, False, 0)
-        assert not sol.converged and sol.iterations == n1
-        assert sol.f == _build_f(p, x1)
-
-    def test_retry_does_not_raise_an_arithmetic_error(self, monkeypatch):
-        # Python floats raise OverflowError where numpy ones give inf (in
-        # u ** 3 of the quartic partial, say)
-        p = self.stall("riemann_a-fails")
-        want = solve(p)
-        newton = variational._newton
-
-        def overflowing(*args, damped):
-            if not damped:
-                raise OverflowError("numerical result out of range")
-            return newton(*args, damped=damped)
-
-        monkeypatch.setattr(variational, "_newton", overflowing)
-        got = solve(p)
-        assert not got.converged and got.iterations == want.iterations
-        assert got.f == want.f
+        assert (sol.status, sol.path) == ("stalled", "continuation")
+        assert sol.f == _build_f(p, np.zeros(len(p._free())))
 
     @pytest.mark.parametrize("bnd", [Boundary("fixed", A=1.0, B=0.5),
                                      Boundary("natural")],
@@ -812,29 +834,54 @@ class TestAssembly:
             J[:-1, -1] = J[-1, :-1] = c
         return J
 
-    @pytest.mark.parametrize("lag", ["quadratic", "quartic", "mixed"])
+    # L_vv = 5/2 at every point
+    SCALED = Lagrangian("scaled", eval=lambda t, u, v: 5 * v * v / 4
+                        - u ** 4 / 4,
+                        d_u=lambda t, u, v: -u ** 3,
+                        d_v=lambda t, u, v: 5 * v / 2,
+                        d_uu=lambda t, u, v: -3 * u * u,
+                        d_uv=lambda t, u, v: u * 0,
+                        d_vv=lambda t, u, v: u * 0 + 2.5)
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["product", "gram"])
+    @pytest.mark.parametrize("lag", ["quadratic", "quartic", "mixed",
+                                     "scaled", "three-halves"])
     @PARAMS
-    def test_jacobian_matches_dense_selection(self, case, N, anchor, lag):
+    def test_jacobian_matches_dense_selection(self, case, N, anchor, lag,
+                                              cached):
         # the built-in Lagrangians have L_uv = 0, where the one product
-        # V^T (L_vv V) is the dense one bit for bit; with L_uv = t the U
-        # terms are added in another order
+        # V^T (L_vv V) is the dense one bit for bit, and so, with L_vv = 1,
+        # is the Gram matrix V^T V of a solve's cache; with L_uv = t the U
+        # terms are added in another order, a constant L_vv = 5/2 scales the
+        # Gram matrix after its sums, and L_vv = 3/4 |v|^(-1/2) varies, so
+        # the cache is not used and the partials' array and scalar calls
+        # may round apart
         form, kind, alpha = case
         p = self.problem(form, kind, alpha, N, anchor, {
             "quadratic": Lagrangian.quadratic_potential(1.3),
             "quartic": Lagrangian.quartic_potential(),
-            "mixed": self.LAG}[lag])
+            "mixed": self.LAG, "scaled": self.SCALED,
+            "three-halves": THREE_HALVES}[lag])
         constrained = form is Formulation.RIEMANN_B and kind == "fixed"
         x = np.random.default_rng(N + 3).uniform(
             -1, 1, len(p._free()) + constrained)
         assembly = _assembly(p)
-        got = _jacobian(p, x, assembly)
+        cache = {} if cached else None
+        got = _jacobian(p, x, assembly, cache)
         want = self.dense_jacobian(p, x, assembly)
         assert got.shape == want.shape
-        if lag == "mixed":
+        if cached:
+            assert ("gram" in cache) == (lag != "three-halves")
+            assert np.array_equal(_jacobian(p, x, assembly, cache), got)
+        if lag in ("mixed", "three-halves"):
             assert np.max(np.abs(got - want)) <= \
                 1e-14 * np.max(np.abs(want))
+        elif lag == "scaled" and cached:
+            _close(got, want)
         else:
             assert np.array_equal(got, want)
+        if lag == "three-halves":
+            assert np.array_equal(got, _jacobian(p, x, assembly))
 
     # L = v^2/2 - 0.49 u^2/2 plus a t u or a u v term: the natural problem
     # then has a nonzero solution, where the rows of f(a) and f(b-1) must
