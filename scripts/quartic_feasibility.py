@@ -18,7 +18,7 @@ import numpy as np
 
 from nablafrac import (Boundary, Formulation, FracOrder, Grid, Lagrangian,
                        VariationalProblem)
-from nablafrac.variational import _assembly, _jacobian, _path, _residual
+from nablafrac.variational import _path, _System
 
 
 def turning_points(alpha, N, A, steps):
@@ -27,20 +27,14 @@ def turning_points(alpha, N, A, steps):
     p = VariationalProblem(Grid(0, N), FracOrder(alpha),
                            Formulation.RIEMANN_A, Boundary("fixed", A=A),
                            Lagrangian.quartic_potential())
-    assembly = _assembly(p)
-
-    def residual(x):
-        return _residual(p, x, assembly)
-
-    def jacobian(x):
-        return _jacobian(p, x, assembly)
+    system = _System(p)
 
     def negative(y):
-        return int((np.linalg.eigvalsh(jacobian(y[:-1])) < 0).sum())
+        return int((np.linalg.eigvalsh(system.at(y[:-1]).jacobian()) < 0)
+                   .sum())
 
     prev = None
-    for k, point in enumerate(_path(residual, jacobian,
-                                    np.zeros(len(p._free())))):
+    for k, point in enumerate(_path(system.at(np.zeros(len(p._free()))))):
         if point is None:
             continue
         y, t = point

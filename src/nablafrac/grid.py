@@ -9,6 +9,9 @@ by the difference of their numerators, in integers; any other pair by its
 difference, with float distances snapping within 1e-9, so a float anchor
 such as 0.1 behaves exactly like 0.  The one exception is the float CSV
 reader, which applies _offset's test to its whole t column at once in numpy.
+Past 2^53 in magnitude floats lie two or more apart, so a unit step rounds
+to 0 or 2 and _offset would read a wrong integer without an error; Grid and
+GridFn refuse a float grid with a point there.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ __all__ = ["DomainError", "Grid", "GridFn", "shift_rho", "shift_sigma",
            "dot", "inner_sum", "read_gridfn_csv", "write_gridfn_csv"]
 
 _FLOAT_SNAP = 1e-9
+_FLOAT_UNIT_MAX = 2 ** 53  # past this magnitude floats are 2 or more apart
 _CSV_BLOCK = 4096  # CSV rows read or written per block
 
 
@@ -61,6 +65,16 @@ def _offset(t, lo) -> int:
     return int(d.numerator)
 
 
+def _check_float_span(lo, n: int) -> None:
+    """DomainError if lo is a float and a point of lo, lo + 1, ..., lo + n
+    lies past +-2^53.  The bounds are compared as exact integers."""
+    if isinstance(lo, float) and not (
+            -_FLOAT_UNIT_MAX <= lo <= _FLOAT_UNIT_MAX - n):
+        raise DomainError(f"float points {lo} .. {lo} + {n} pass 2^53 in "
+                          f"magnitude, where unit steps cannot be "
+                          f"represented")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Finite unit-step grid {a, a+1, ..., b} with b == a (mod 1)."""
@@ -72,6 +86,7 @@ class Grid:
         _offset(self.b, self.a)  # validates b == a (mod 1)
         if self.N < 0:
             raise DomainError(f"grid endpoint {self.b} precedes anchor {self.a}")
+        _check_float_span(self.a, self.N)
 
     @property
     def N(self) -> int:
@@ -92,6 +107,7 @@ class GridFn:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise DomainError("grid function needs at least one point")
+        _check_float_span(self.lo, len(self.values) - 1)
 
     @property
     def hi(self):

@@ -13,13 +13,16 @@ Three formulations are supported for J(f) = sum_{t=a+1}^{b-1} L(t, u, v):
               endpoints f(a) = A, f(b-1) = B fixed, or free (natural).
 Each (formulation, boundary kind) pair is defined once, in _CASES.
 
-Newton's residual is the gradient of J on the free coordinates and its
-Jacobian the symmetric Hessian, bordered by the multiplier in the RIEMANN_B
-fixed case, both from the slot maps of _assembly; at interior points the
+Newton's system is one object, _System, built once per solve from the
+weights: it holds the slot maps and the Gram matrix that its Jacobians
+share, and at(x) evaluates it at a point.  Its residual is the gradient of
+J on the free coordinates and its Jacobian the symmetric Hessian, bordered
+by the multiplier in the RIEMANN_B fixed case; at interior points the
 gradient is the Euler-Lagrange residual.  Newton works on whole arrays: the
 u slots are read from the unknowns by index, the v slots by one Toeplitz
-product, and each Lagrangian partial is called once per residual or
-Jacobian on the arrays of all the sum points.  The GridFn Euler-Lagrange
+product, and each Lagrangian partial is called once per point on the arrays
+of all the sum points; the Jacobian is formed from the same partials only
+when it is asked for.  The GridFn Euler-Lagrange
 residual (el_residual) and the gradient oracle, which recomputes the
 derivatives by direct differencing of J, are independent references that
 never touch those maps; they read values by offset slices, not point by
@@ -50,11 +53,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
 from numbers import Rational
 from operator import add
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -83,7 +86,7 @@ class Lagrangian:
     numpy arrays of t, u and v: the gradient oracle calls eval on whole
     arrays of probes, float ones in the float backend and object arrays of
     rationals in the exact one, and Newton calls each partial once per
-    residual or Jacobian on float arrays of all the sum points.  A partial
+    point on float arrays of all the sum points.  A partial
     may return one scalar for all the points (d_uu = -omega^2, say).
     check_partials enforces this, on float arrays, when a problem is
     constructed; an exact problem also calls eval once on object arrays of
@@ -550,23 +553,6 @@ class Solution:
         return max(abs(v) for v in self.el_residual.values)
 
 
-def _f_vector(p: VariationalProblem, x) -> np.ndarray:
-    """Values on f_domain(): the fixed boundary values, then x on the free
-    coordinates."""
-    case = p._case
-    vals = np.zeros(p.grid.N - case.lo)
-    if case.fix_lo:
-        vals[0] = float(p.boundary.A)
-    if case.fix_hi:
-        vals[-1] = float(p.boundary.B)
-    vals[p._free()] = x
-    return vals
-
-
-def _build_f(p: VariationalProblem, x: Sequence[float]) -> GridFn:
-    return GridFn(p.f_domain()[0], tuple(_f_vector(p, x).tolist()))
-
-
 def _toeplitz(w, n: int) -> np.ndarray:
     """The n x n lower-triangular Toeplitz matrix T[i, j] = w[i - j]."""
     c = np.zeros(2 * n - 1)                   # c[n - 1 - k] = w[k]
@@ -575,107 +561,144 @@ def _toeplitz(w, n: int) -> np.ndarray:
     return sliding_window_view(c, n)[::-1].copy()
 
 
-def _assembly(p: VariationalProblem):
-    """The constant maps of the Newton system, built from the weights:
-    (ts, i, cu, V, cv, c), with ts the sum points as a float array.
+class _System:
+    """The Newton system of a problem (see the module docstring).  Its
+    maps: the unknowns x give u and v at the sum points ts (a float array).
+    Each u slot is one value of f: the rows i of u read the free coordinates
+    0, 1, ... in order, so u is the offset cu (the boundary values) with
+    x[:len(i)] added at the rows i.  The other rows read only boundary
+    values, and the later coordinates of x (f(b-1) of a natural CAPUTO
+    problem, the multiplier) enter no u slot.  As a map, u = U x + cu with U
+    the 0/1 selection of those rows, and U^T y is y[i] in the first len(i)
+    coordinates; no code forms U.  The v slots are v = V x + cv.  With L_1,
+    L_2 the Lagrangian partials at the sum points, the residual is the
+    gradient V^T L_2 + U^T L_1 and the Jacobian its Hessian.  V is a slice
+    of one lower-triangular Toeplitz matrix W = T(w(-alpha)) on the N points
+    [a, b-1]; w(1-alpha) enters only as boundary vectors.  A difference of a
+    w(1-alpha) sum is a w(-alpha) convolution, since w(-1) * w(1-alpha) =
+    w(-alpha) (Chu-Vandermonde), so these maps are the operators'
+    compositions exactly, and in floats they never difference two sums.  The
+    problem's _Case gives su, V = W[1:, lo:] and w(1-alpha)'s role.  A
+    border adds the multiplier x[-1], its column c = -reversed(w(1-alpha)[:m])
+    and row c f + A, so J stays symmetric; c and A are None without one.
 
-    The unknowns x give u and v at the points ts.  Each u slot is one value
-    of f: the rows i of u read the free coordinates 0, 1, ... in order, so u
-    is the offset cu (the boundary values) with x[:len(i)] added at the rows
-    i.  The other rows read only boundary values, and the later coordinates
-    of x (f(b-1) of a natural CAPUTO problem, the multiplier) enter no u
-    slot.  As a map, u = U x + cu with U the 0/1 selection of those rows,
-    and U^T y is y[i] in the first len(i) coordinates; no code forms U.
-    The v slots are v = V x + cv.  With L_1, L_2 the Lagrangian partials at
-    the sum points, the residual is the gradient V^T L_2 + U^T L_1 and the
-    Jacobian its Hessian.  V is a slice of one lower-triangular Toeplitz
-    matrix W = T(w(-alpha)) on the N points [a, b-1]; w(1-alpha) enters only
-    as boundary vectors.  A difference of a w(1-alpha) sum is a w(-alpha)
-    convolution, since w(-1) * w(1-alpha) = w(-alpha) (Chu-Vandermonde), so
-    these maps are the operators' compositions exactly, and in floats they
-    never difference two sums.  The problem's _Case gives su, V = W[1:, lo:]
-    and w(1-alpha)'s role.  A border adds the multiplier x[-1], its column
-    c = -reversed(w(1-alpha)[:m]) and row c f + A, so J stays symmetric.
+    V^T L_vv V is the product at the system's first Jacobian.  From the
+    second on, when L_vv has one value at every sum point, as in both
+    built-in Lagrangians, it is that value times the Gram matrix V^T V,
+    formed on first use, so a one-step solve holds no more than J.  The
+    Gram matrix is the product with L_vv = 1, bit for bit: V^T V of a copy
+    of V, since numpy sends V^T V itself to a symmetric BLAS routine that
+    rounds otherwise.
     """
-    case, N, al = p._case, p.grid.N, p.alpha.alpha
-    m = N - 1                                  # sum points a+1 .. b-1
-    _el_shift(p)                               # solve ends in el_residual
-    W = _toeplitz(weights(-al, m), N)
-    Mv, su, c = W[1:, case.lo:], case.su, None
-    if case.w1_column:                         # the point f(a)
-        Mv[:, 0] = -weights(1 - al, m)[:m]
-    if case.border:                            # L_2(b)'s column
-        c = -weights(1 - al, m)[m - 1::-1]
 
-    free = p._free()
-    fixed = _f_vector(p, 0.0)
-    V = np.zeros((m, len(free) + int(c is not None)))
-    V[:, :len(free)] = Mv[:, free.start:free.stop]
-    i = np.arange(max(free.start - su, 0), min(free.stop - su, m))
-    return (np.array(_sum_points(p), dtype=float), i, fixed[su:su + m],
-            V, Mv @ fixed, c)
+    def __init__(self, p: VariationalProblem):
+        case, N, al = p._case, p.grid.N, p.alpha.alpha
+        m = N - 1                              # sum points a+1 .. b-1
+        _el_shift(p)                           # solve ends in el_residual
+        W = _toeplitz(weights(-al, m), N)
+        Mv, su, c = W[1:, case.lo:], case.su, None
+        if case.w1_column:                     # the point f(a)
+            Mv[:, 0] = -weights(1 - al, m)[:m]
+        if case.border:                        # L_2(b)'s column
+            c = -weights(1 - al, m)[m - 1::-1]
+
+        # f on f_domain() at x = 0: the fixed boundary values
+        fixed = np.zeros(N - case.lo)
+        if case.fix_lo:
+            fixed[0] = float(p.boundary.A)
+        if case.fix_hi:
+            fixed[-1] = float(p.boundary.B)
+        free = self.free = p._free()
+        V = np.zeros((m, len(free) + int(c is not None)))
+        V[:, :len(free)] = Mv[:, free.start:free.stop]
+        self.lagrangian, self.lo, self.fixed = (p.lagrangian,
+                                                p.f_domain()[0], fixed)
+        self.ts = np.array(_sum_points(p), dtype=float)
+        self.i = np.arange(max(free.start - su, 0), min(free.stop - su, m))
+        self.cu, self.V, self.cv, self.c = fixed[su:su + m], V, Mv @ fixed, c
+        self.A = None if c is None else float(p.boundary.A)
+        self.jacobians, self._gram = 0, None
+
+    def at(self, x: np.ndarray) -> "_Point":
+        return _Point(self, x)
+
+    def f(self, x) -> GridFn:
+        """f on f_domain(): the fixed boundary values, then x on the free
+        coordinates (a multiplier after them is not read)."""
+        vals = self.fixed.copy()
+        vals[self.free.start:self.free.stop] = x[:len(self.free)]
+        return GridFn(self.lo, tuple(vals.tolist()))
+
+    def _vv(self, dvv: np.ndarray) -> np.ndarray:
+        """V^T L_vv V: the product, or from the second Jacobian on L_vv's
+        one value times the Gram matrix (see the class docstring)."""
+        self.jacobians += 1
+        if self.jacobians > 1 and (dvv == dvv[0]).all():
+            if self._gram is None:
+                self._gram = self.V.T @ self.V.copy()
+            return dvv[0] * self._gram
+        return self.V.T @ (dvv[:, None] * self.V)
 
 
-def _partials(x: np.ndarray, assembly, *ds) -> list:
-    """Each Lagrangian partial in ds, called once on the arrays of the sum
-    points ts and the slot values of x; a scalar result is broadcast."""
-    ts, i, cu, V, cv = assembly[:5]
-    u = cu.copy()
-    u[i] += x[:len(i)]
-    v = V @ x + cv
-    out = [np.asarray(d(ts, u, v), dtype=float) for d in ds]
-    return [y if y.shape == ts.shape else np.broadcast_to(y, ts.shape)
-            for y in out]
+class _Point:
+    """The system at x: the residual r (see _System), and the Jacobian from
+    the same u, v and partials when asked for; each partial is called at
+    most once, on arrays of all the sum points, a scalar result broadcast."""
 
+    def __init__(self, system: _System, x: np.ndarray):
+        s = self.system = system
+        self.x = x
+        u = s.cu.copy()
+        u[s.i] += x[:len(s.i)]
+        self._uv = u, s.V @ x + s.cv
+        l1, l2 = self._partials("d_u", "d_v")
+        r = s.V.T @ l2
+        r[:len(s.i)] += l1[s.i]
+        if s.c is not None:
+            r[:-1] += x[-1] * s.c
+            r[-1] = s.c @ x[:-1] + s.A
+        self.r = r
 
-def _residual(p: VariationalProblem, x: np.ndarray, assembly) -> np.ndarray:
-    """The gradient of J on the free coordinates, V^T L_2 + U^T L_1,
-    bordered in the RIEMANN_B fixed case (see _assembly)."""
-    _, i, _, V, _, c = assembly
-    lag = p.lagrangian
-    l1, l2 = _partials(x, assembly, lag.d_u, lag.d_v)
-    r = V.T @ l2
-    r[:len(i)] += l1[i]
-    if c is not None:
-        r[:-1] += x[-1] * c
-        r[-1] = c @ x[:-1] + float(p.boundary.A)
-    return r
+    def _partials(self, *names) -> list:
+        ts = self.system.ts
+        lag = self.system.lagrangian
+        out = [np.asarray(getattr(lag, name)(ts, *self._uv), dtype=float)
+               for name in names]
+        return [y if y.shape == ts.shape else np.broadcast_to(y, ts.shape)
+                for y in out]
 
+    @cached_property
+    def _second(self) -> list:
+        return self._partials("d_uu", "d_uv", "d_vv")
 
-def _jacobian(p: VariationalProblem, x: np.ndarray, assembly,
-              cache: Optional[dict] = None) -> np.ndarray:
-    """The Hessian of J on the free coordinates, V^T (L_uv U + L_vv V) +
-    U^T (L_uu U + L_uv V), bordered in the RIEMANN_B fixed case: symmetric
-    in every formulation.
+    def jacobian(self) -> np.ndarray:
+        """The Hessian of J on the free coordinates, V^T (L_uv U + L_vv V) +
+        U^T (L_uu U + L_uv V), bordered in the RIEMANN_B fixed case:
+        symmetric in every formulation.  U^T selects the rows i (see
+        _System), so the U terms are added without forming U: B = (L_uv V)[i]
+        as the first len(i) rows and, transposed, columns, and L_uu[i] on
+        the diagonal.  B is skipped when L_uv is zero, as in both built-in
+        Lagrangians."""
+        s = self.system
+        duu, duv, dvv = self._second
+        J = s._vv(dvv)
+        n = len(s.i)
+        if duv.any():
+            B = duv[s.i, None] * s.V[s.i]
+            J[:n] += B
+            J[:, :n] += B.T
+        # J[:n, :n]'s diagonal
+        J.ravel()[:n * (len(J) + 1):len(J) + 1] += duu[s.i]
+        if s.c is not None:
+            J[:-1, -1] = J[-1, :-1] = s.c
+        return J
 
-    V^T L_vv V is one product.  Given a cache (a dict kept for one solve)
-    and an L_vv with one value at every sum point, as in both built-in
-    Lagrangians, it is that value times the Gram matrix V^T V, formed into
-    the cache on first use.  The Gram matrix is the product with L_vv = 1,
-    bit for bit: V^T V of a copy of V, since numpy sends V^T V itself to a
-    symmetric BLAS routine that rounds otherwise.  U^T selects the rows i
-    (see _assembly), so the rest is added without forming U: B = (L_uv V)[i]
-    as the first len(i) rows and, transposed, columns, and L_uu[i] on the
-    diagonal.  B is skipped when L_uv is zero, as in both built-in
-    Lagrangians."""
-    _, i, _, V, _, c = assembly
-    lag = p.lagrangian
-    duu, duv, dvv = _partials(x, assembly, lag.d_uu, lag.d_uv, lag.d_vv)
-    if cache is not None and (dvv == dvv[0]).all():
-        if "gram" not in cache:
-            cache["gram"] = V.T @ V.copy()
-        J = dvv[0] * cache["gram"]
-    else:
-        J = V.T @ (dvv[:, None] * V)
-    n = len(i)
-    if duv.any():
-        B = duv[i, None] * V[i]
-        J[:n] += B
-        J[:, :n] += B.T
-    J.ravel()[:n * (len(J) + 1):len(J) + 1] += duu[i]   # J[:n, :n]'s diagonal
-    if c is not None:
-        J[:-1, -1] = J[-1, :-1] = c
-    return J
+    @cached_property
+    def step(self) -> "_Point":
+        """The point one full Newton step on, formed once; LinAlgError when
+        J is singular."""
+        return self.system.at(
+            self.x + np.linalg.solve(self.jacobian(), -self.r))
 
 
 # A solve's continuation takes at most _PATH_STEPS * max_iter predictor
@@ -694,46 +717,45 @@ _H_START, _H_MAX, _H_MIN = 0.1, 1.0, 1e-6
 _CTOL, _CONTRACT, _CORRECTOR_ITER, _FAST = 1e-4, 0.5, 5, 2
 
 
-def _newton(residual, jacobian, x: np.ndarray, r: np.ndarray, tol: float,
-            max_iter: int):
-    """Full Newton steps from x, whose residual is r, for as long as each
-    one lowers |r|_2 or meets max |r| <= tol, up to max_iter of them.
-    Returns (x, steps, status): the last accepted iterate, the steps taken
-    and "converged", "max_iter" or "stalled"; a rejected step, a singular
-    Jacobian or a non-finite step stalls the run."""
+def _newton(point: _Point, tol: float, max_iter: int):
+    """Full Newton steps from point for as long as each one lowers |r|_2 or
+    meets max |r| <= tol, up to max_iter of them.  Returns (point, steps,
+    status): the last accepted point, the steps taken and "converged",
+    "max_iter" or "stalled"; a rejected step, a singular Jacobian or a
+    non-finite step stalls the run.  A converged point forms no Jacobian."""
     steps = 0
-    while not np.max(np.abs(r)) <= tol:
+    while not np.max(np.abs(point.r)) <= tol:
         if steps == max_iter:
-            return x, steps, "max_iter"
+            return point, steps, "max_iter"
         try:
-            cand = x + np.linalg.solve(jacobian(x), -r)
+            cand = point.step
         except np.linalg.LinAlgError:
-            return x, steps, "stalled"
-        rc = residual(cand)
-        if not (np.max(np.abs(rc)) <= tol
-                or np.linalg.norm(rc) < np.linalg.norm(r)):
-            return x, steps, "stalled"
-        x, r = cand, rc
+            return point, steps, "stalled"
+        if not (np.max(np.abs(cand.r)) <= tol
+                or np.linalg.norm(cand.r) < np.linalg.norm(point.r)):
+            return point, steps, "stalled"
+        point = cand
         steps += 1
-    return x, steps, "converged"
+    return point, steps, "converged"
 
 
-def _correct(residual, jacobian, r0, M, rhs, z):
+def _correct(system: _System, r0, M, rhs, z):
     """Newton's method on H(y) = 0 within the hyperplane through the
     predictor z normal to the tangent t, which borders M (see _path).
     Returns (y, the next tangent unnormalised, corrections), or None when
     the corrector fails (see _CTOL) or H turns non-finite or M singular.
 
-    Each iteration solves M once with two right-hand sides: (-H, 0), the
-    correction, which keeps t^T (y - z) = 0, and (0, 1), whose solution
-    solves J s + R(x0) s_lam = 0 and t^T s = 1: the tangent at y, oriented
-    along t."""
+    Each iteration evaluates the system once at z and solves M once with
+    two right-hand sides: (-H, 0), the correction, which keeps
+    t^T (y - z) = 0, and (0, 1), whose solution solves J s + R(x0) s_lam = 0
+    and t^T s = 1: the tangent at y, oriented along t."""
     n, prev = len(r0), np.inf
     for k in range(1, _CORRECTOR_ITER + 1):
-        H = residual(z[:-1]) - (1 - z[-1]) * r0
+        point = system.at(z[:-1])
+        H = point.r - (1 - z[-1]) * r0
         if not np.isfinite(H).all():
             return None
-        M[:n, :n], rhs[:n, 0] = jacobian(z[:-1]), -H
+        M[:n, :n], rhs[:n, 0] = point.jacobian(), -H
         try:
             dz, tz = np.linalg.solve(M, rhs).T
         except np.linalg.LinAlgError:
@@ -749,12 +771,13 @@ def _correct(residual, jacobian, r0, M, rhs, z):
     return None
 
 
-def _path(residual, jacobian, x0: np.ndarray):
+def _path(start: _Point):
     """Pseudo-arclength continuation (Keller) of the Newton homotopy
-    H(x, lam) = R(x) - (1 - lam) R(x0) from (x0, 0).  Yields, per predictor
-    step, the accepted path point y = (x, lam) and its unit tangent t, or
-    None when the step was rejected.  Ends when the step size falls below
-    _H_MIN, or at once when R(x0) is not finite or J(x0) singular.
+    H(x, lam) = R(x) - (1 - lam) R(x0) from (x0, 0), x0 = start.x.  Yields,
+    per predictor step, the accepted path point y = (x, lam) and its unit
+    tangent t, or None when the step was rejected.  Ends when the step size
+    falls below _H_MIN, or at once when R(x0) is not finite or J(x0)
+    singular.
 
     The path passes folds of lam, where J is singular but the bordered
     matrix M = [[J, R(x0)], [t^T, 0]] is not, and keeps its direction:
@@ -763,12 +786,12 @@ def _path(residual, jacobian, x0: np.ndarray):
     The step size starts at _H_START; an accepted step may double it, up
     to _H_MAX (see _FAST), and a rejected one is retried at half the
     size."""
-    n = len(x0)
-    r0 = residual(x0)
+    n = len(start.x)
+    r0 = start.r
     if not np.isfinite(r0).all():
         return
     M = np.zeros((n + 1, n + 1))
-    M[:n, :n], M[:n, n], M[n, n] = jacobian(x0), r0, 1.0
+    M[:n, :n], M[:n, n], M[n, n] = start.jacobian(), r0, 1.0
     rhs = np.zeros((n + 1, 2))
     rhs[n, 1] = 1.0
     try:
@@ -776,10 +799,10 @@ def _path(residual, jacobian, x0: np.ndarray):
     except np.linalg.LinAlgError:
         return
     t /= np.linalg.norm(t)
-    y, h = np.append(x0, 0.0), _H_START
+    y, h = np.append(start.x, 0.0), _H_START
     while h >= _H_MIN:
         M[n] = t
-        got = _correct(residual, jacobian, r0, M, rhs, y + h * t)
+        got = _correct(start.system, r0, M, rhs, y + h * t)
         if got is None:
             h /= 2
             yield None
@@ -791,20 +814,19 @@ def _path(residual, jacobian, x0: np.ndarray):
         yield y, t
 
 
-def _continue(residual, jacobian, x0: np.ndarray, tol: float,
-              max_iter: int):
-    """The continuation of a solve whose full Newton steps from x0 stalled
-    (see solve).  Returns (x, steps, status): x is the converged point, or
-    None unless status is "converged"; steps counts the predictor and final
-    Newton steps."""
+def _continue(start: _Point, tol: float, max_iter: int):
+    """The continuation of a solve whose full Newton steps from start
+    stalled (see solve).  Returns (x, steps, status): x is the converged
+    point's unknowns, or None unless status is "converged"; steps counts
+    the predictor and final Newton steps."""
     try:
-        dx0 = np.linalg.solve(jacobian(x0), -residual(x0))
+        starts = (start, start.step)
     except np.linalg.LinAlgError as exc:
         raise DomainError("singular Jacobian in Newton solve") from exc
     budget, steps = _PATH_STEPS * max_iter, 0
-    for start in (x0, x0 + dx0):
-        prev = np.append(start, 0.0)
-        for point in islice(_path(residual, jacobian, start), budget):
+    for trace in starts:
+        prev = np.append(trace.x, 0.0)
+        for point in islice(_path(trace), budget):
             budget, steps = budget - 1, steps + 1
             if point is None:
                 continue
@@ -813,11 +835,11 @@ def _continue(residual, jacobian, x0: np.ndarray, tol: float,
                 # x at lam = 1, on the chord between the two path points
                 s = (1 - prev[-1]) / (y[-1] - prev[-1])
                 x1 = prev[:-1] + s * (y[:-1] - prev[:-1])
-                x, more, status = _newton(residual, jacobian, x1,
-                                          residual(x1), tol, max_iter)
+                end, more, status = _newton(start.system.at(x1), tol,
+                                            max_iter)
                 steps += more
                 if status == "converged":
-                    return x, steps, status
+                    return end.x, steps, status
             prev = y
     return None, steps, "max_iter" if budget == 0 else "stalled"
 
@@ -849,51 +871,33 @@ def solve(p: VariationalProblem, initial: Optional[GridFn] = None,
     steps or the predictor budget ran out; or "stalled" when a full step
     failed and the traces ended without converging.  An unconverged solve
     returns the last iterate of its first full Newton steps.  A singular
-    Jacobian at x0 raises DomainError.  From the second Jacobian of a solve
-    on, V^T V is computed once and kept when L_vv is constant (see
-    _jacobian), so a one-step solve holds no more than J.
+    Jacobian at x0 raises DomainError.  One _System, built here, evaluates
+    every point of the solve.
     """
     if p.exact:
         raise DomainError("solve runs in the float backend")
-    assembly = _assembly(p)
-    *_, c = assembly
-    constrained = c is not None
-    free = p.free_points()
-    m = len(free) + (1 if constrained else 0)
-    if initial is None:
-        x0 = np.zeros(m)
-    else:
-        x0 = np.array([float(v) for v in
-                       initial.restrict(free[0], free[-1]).values] +
-                      ([0.0] if constrained else []))
-    cache = None
-
-    def residual(x):
-        return _residual(p, x, assembly)
-
-    def jacobian(x):
-        nonlocal cache
-        J = _jacobian(p, x, assembly, cache)
-        if cache is None:       # the Gram matrix from the second Jacobian on
-            cache = {}
-        return J
-
-    x, iterations, status = _newton(residual, jacobian, x0, residual(x0),
-                                    tol, max_iter)
-    path = "newton"
+    system = _System(p)
+    c = system.c
+    x0 = np.zeros(system.V.shape[1])           # a multiplier starts at 0
+    if initial is not None:
+        free = p.free_points()
+        x0[:len(free)] = initial.restrict(free[0], free[-1]).values
+    start = system.at(x0)
+    end, iterations, status = _newton(start, tol, max_iter)
+    x, path = end.x, "newton"
     if status == "stalled":
         path = "continuation"
-        xc, steps, status = _continue(residual, jacobian, x0, tol, max_iter)
+        xc, steps, status = _continue(start, tol, max_iter)
         iterations += steps
         if status == "converged":
             x = xc
 
-    lam = float(x[-1]) if constrained else None
-    f = _build_f(p, x[:-1] if constrained else x)
+    lam = None if c is None else float(x[-1])
+    f = system.f(x)
     el = el_residual(p, f, l2_at_b=lam)
     grad = gradient_oracle(p, f)
     gvals = np.array(grad.values, dtype=float)
-    if constrained:
+    if c is not None:
         gvals = gvals + lam * c                # the multiplier's column
     return Solution(f=f, el_residual=el,
                     gradient_norm=float(np.max(np.abs(gvals))),

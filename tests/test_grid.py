@@ -12,6 +12,7 @@ from nablafrac.grid import (_CSV_BLOCK, DomainError, Grid, GridFn, _offset,
                             dot, inner_sum, read_gridfn_csv, shift_rho,
                             shift_sigma, write_gridfn_csv)
 from nablafrac.numerics import FracOrder
+from nablafrac.operators import nabla_left_sum_fn
 
 
 class TestGrid:
@@ -108,6 +109,56 @@ class TestOffset:
     def test_non_finite_grid_end(self, b):
         with pytest.raises(DomainError):
             Grid(0.0, b)
+
+
+class TestFloatRange:
+    """Past 2^53 in magnitude floats lie two or more apart, so unit steps
+    cannot be represented there.  Measured before Grid and GridFn refused
+    such grids: Grid(a, a + 8) has 9 distinct points up to a = 2^53 - 8,
+    and from a = 2^53 - 6 (b = 2^53 + 2) its points collide; Grid(1e17,
+    1e17 + 8).N read 0, and a left sum of a 9-point GridFn at 1e16 + 1
+    returned 10 values.  The last grid that fits and the first that does
+    not are tested on both sides of 0."""
+
+    EDGE = 2.0 ** 53
+
+    @staticmethod
+    def fn(lo, n):
+        return GridFn(lo, tuple(float(k) for k in range(n)))
+
+    def test_grids_up_to_the_edge(self):
+        for a, b in ((self.EDGE - 8, self.EDGE), (-self.EDGE, 8 - self.EDGE)):
+            g = Grid(a, b)
+            assert g.N == 8 and len(set(g.points())) == 9
+        # the left sum's anchor lo - 1 is a grid point too
+        for lo in (self.EDGE - 8, 1 - self.EDGE):
+            f = self.fn(lo, 9)
+            assert f.hi == lo + 8 and f(f.hi) == 8.0
+            assert len(nabla_left_sum_fn(f, 0.5, lo - 1)) == 10
+
+    @pytest.mark.parametrize("a,b", [
+        (EDGE - 6, EDGE + 2), (-EDGE - 2, 6 - EDGE), (1e17, 1e17 + 8)])
+    def test_grids_past_the_edge_rejected(self, a, b):
+        with pytest.raises(DomainError, match="2\\^53"):
+            Grid(a, b)
+
+    @pytest.mark.parametrize("lo,n", [
+        (EDGE - 7, 9), (EDGE - 8, 10), (-EDGE - 2, 9), (1e16 + 1, 9)])
+    def test_grid_functions_past_the_edge_rejected(self, lo, n):
+        with pytest.raises(DomainError, match="2\\^53"):
+            self.fn(lo, n)
+
+    def test_exact_points_unbounded(self):
+        f = GridFn(10 ** 20, (1, 2, 3))
+        assert f.hi == 10 ** 20 + 2 and f(10 ** 20 + 1) == 2
+        assert Grid(rational(10 ** 20, 3), rational(10 ** 20 + 24, 3)).N == 8
+
+    def test_crossing_a_binade_below_the_edge_rejected(self):
+        # below 2^53 a unit step rounds by less than 1/2, which _offset
+        # sees: here by about 1.5e-8 past 2^27
+        a = 2.0 ** 27 - 0.3
+        with pytest.raises(DomainError, match="not on the grid"):
+            Grid(a, a + 8)
 
 
 class TestGridFn:
@@ -376,8 +427,9 @@ class TestCsvBlocks:
             with pytest.raises(ValueError):
                 read_gridfn_csv(path, False)
 
-    @pytest.mark.parametrize("lo", [0.0, 1e17, -2.3, rational(1, 3), 5],
-                             ids=["0", "1e17", "-2.3", "1/3", "int-5"])
+    @pytest.mark.parametrize("lo", [0.0, 2.0 ** 53 - 2 ** 14, -2.3,
+                                    rational(1, 3), 5],
+                             ids=["0", "2^53-2^14", "-2.3", "1/3", "int-5"])
     def test_write_matches_format_scalar(self, tmp_path, lo):
         rng = random.Random(5)
         special = (-0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
