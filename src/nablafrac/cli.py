@@ -13,6 +13,7 @@ a command that a closed pipe ends).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,7 +64,9 @@ _OPERATORS = {
 _IDENTITY_ORDER = ("P21", "P22", "P23", "P24", "T25", "T26", "SHIFT")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parse_args keeps no state in it."""
     top = argparse.ArgumentParser(prog="nablafrac")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
@@ -132,9 +135,10 @@ def _cmd_apply(args) -> int:
         elif args.operator == "nabla-right-sum":
             out = out.restrict(out.lo, anchor - 1)
         points = None
-        if not exact and not args.operator.startswith("delta-"):
-            i = _offset(out.lo, f.lo)
-            points = (f.lo + np.arange(i, i + len(out), dtype=float)).tolist()
+        if not exact:  # one float array: lo + (i + k) for row k
+            lo, i = ((out.lo, 0) if args.operator.startswith("delta-")
+                     else (f.lo, _offset(out.lo, f.lo)))
+            points = lo + np.arange(i, i + len(out), dtype=float)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -166,20 +166,34 @@ def inner_sum(f: GridFn, g: GridFn, lo, hi):
 
 def write_gridfn_csv(f: GridFn, path, points=None) -> None:
     """Write f as "t,value" rows, each scalar as `format_scalar` writes it.
-    The t column is f.points() unless points, the same points formed
-    another way, is given.  Rows are formatted _CSV_BLOCK at a time, floats
-    by one "%.17g" format of the block."""
-    points = iter(f.points() if points is None else points)
+    The t column is f.points() unless points, the same points as floats
+    formed another way, is given.  Rows are formatted _CSV_BLOCK at a time,
+    float rows by one "%.17g,%.17g" format of the block.  Given points that
+    are all integers below 2^53 in magnitude, none of them -0.0, are written
+    as ints by "%d", which gives the same bytes there."""
+    row, given = "%.17g,%.17g\n", points is not None
+    if not given:
+        points = f.points()
+    else:
+        points = np.asarray(points, dtype=float)
+        if (np.all(np.abs(points) < _FLOAT_UNIT_MAX)
+                and np.array_equal(points, np.trunc(points))
+                and not np.signbit(points[points == 0]).any()):
+            row, points = "%d,%.17g\n", points.astype(np.int64)
+        points = iter(points.tolist())
     with open(path, "w") as out:
         out.write("t,value\n")
         for i in range(0, len(f.values), _CSV_BLOCK):
             values = f.values[i:i + _CSV_BLOCK]
+            ts = list(islice(points, len(values)))
             cells = [None] * (2 * len(values))
-            cells[0::2] = islice(points, len(values))
             cells[1::2] = values
-            if {*map(type, cells)} == {float}:
-                out.write("%.17g,%.17g\n" * len(values) % tuple(cells))
-            else:
+            if ((given or {*map(type, ts)} == {float})
+                    and {*map(type, values)} == {float}):
+                cells[0::2] = ts
+                out.write(row * len(values) % tuple(cells))
+            else:  # given points as the floats they are, even if int here
+                cells[0::2] = map(float, ts) if given else ts
                 out.write("%s,%s\n" * len(values)
                           % tuple(map(format_scalar, cells)))
 

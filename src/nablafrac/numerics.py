@@ -222,18 +222,22 @@ def weights(beta, K: int):
 
 def _differences(values, n: int, negate: bool) -> tuple:
     """n-fold forward differences x[k+1] - x[k] of values, or x[k] - x[k+1]
-    at every step with negate.  Exact values are differenced as integers over
-    their common denominator, one rational per output."""
-    exact = is_exact(values[0])
-    vals, L = _integers(values) if exact else (values, 1)
+    at every step with negate.  Float values are differenced as numpy
+    slices, exact values as integers over their common denominator, one
+    rational per output."""
+    if not is_exact(values[0]):
+        x = np.asarray(values)
+        with np.errstate(all="ignore"):  # inf - inf is nan, as in Python
+            for _ in range(n):
+                x = x[:-1] - x[1:] if negate else x[1:] - x[:-1]
+        return tuple(x.tolist())
+    vals, L = _integers(values)
     for _ in range(n):
         if negate:
             vals = [x - y for x, y in zip(vals, vals[1:])]
         else:
             vals = [y - x for x, y in zip(vals, vals[1:])]
-    if exact:
-        return tuple(rational(x, L) for x in vals)
-    return tuple(vals)
+    return tuple(rational(x, L) for x in vals)
 
 
 def nabla_n(f: GridFn, n: int) -> GridFn:

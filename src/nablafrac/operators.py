@@ -43,9 +43,9 @@ __all__ = [
 
 # _DIRECT_MAX_LEN = 512, defined in numerics, is the longest float convolution
 # computed directly by np.convolve, O(n^2), and the block length of the fast
-# path past it.  Per-call time by length on a 2-core Xeon (numpy 2.4),
-# np.convolve against _float_left_conv:
-#     n=1024: 220 us / 219 us;  n=4096: 4.1 ms / 1.3 ms;  n=5e4: 471 ms / 17 ms
+# path past it.  Per-call time by length on a 2-core Xeon (numpy 2.4, best
+# of 7 repeats), np.convolve against _float_left_conv:
+#     n=1024: 130 / 123 us;  n=4096: 2.6 / 0.59 ms;  n=5e4: 437 / 13 ms
 # so the two break even near 1024 and a limit between 512 and 1024 costs
 # nothing; at 512 every convolution of up to 512 points keeps np.convolve's
 # bits.  numerics splits the float weights at the same index: w_0..w_512
@@ -53,11 +53,19 @@ __all__ = [
 # the same weight bits too.
 #
 # The fast path is the online convolution of Hairer, Lubich & Schlichte (SIAM
-# J. Sci. Stat. Comput. 6, 1985): rows [lo, lo + size) split at mid; the
-# history x[lo:mid] reaches rows [mid, lo + size) through one FFT product, and
-# each half recurses down to np.convolve on blocks of 512.  That FFT adds about
-# eps log(size) |x[lo:mid]|_2 |w[:size]|_2 to each row it feeds, so a row's
-# error depends only on the inputs it sums; it can exceed the direct sum's
+# J. Sci. Stat. Comput. 6, 1985), run on an input known up front.  The rows,
+# zero-padded to 512 times a power of two, form a tree of nodes [lo, lo +
+# size) that split at mid = lo + size/2; the history x[lo:mid] reaches rows
+# [mid, lo + size) through one FFT product of length size, and the leaves are
+# the blocks of 512, summed by np.convolve.  The nodes of one size make a
+# level: its histories, one row each of a (nodes x size) array, take one
+# batched rfft, one product with rfft(w[:size]) and one irfft.  Levels run
+# largest first and the leaves last, so every row receives its additions in
+# the order of the recursive form (left half, history, right half) and
+# keeps its bits; tests/test_operators.py holds that form.  A history
+# product adds about eps log(size) |x[lo:mid]|_2 |w[:size]|_2 to each row it
+# feeds, and a row is fed by at most one node per level, so a row's error
+# depends only on the inputs it sums; it can exceed the direct sum's
 # eps sum_k |w_k x_{m-k}| where a row cancels far below the inputs that feed
 # it.  Riemann differences convolve with w(-alpha), which has negative
 # entries.  Largest error of nabla_left_riemann over all rows, as a
@@ -80,29 +88,24 @@ def _float_left_conv(x, w):
     if (n <= _DIRECT_MAX_LEN or not np.isfinite(x).all()
             or not np.isfinite(w[:n]).all()):
         return np.convolve(x, w)[:n]
-    out = np.zeros(n)
-    w_hats = {}
-
-    def add_rows(lo, size):
-        """out[m] += sum_{j=lo}^{m} w[m-j] x[j] for m in [lo, lo + size)."""
-        hi = min(lo + size, n)
-        if size == _DIRECT_MAX_LEN:
-            out[lo:hi] += np.convolve(x[lo:hi], w[:hi - lo])[:hi - lo]
-            return
+    size = _DIRECT_MAX_LEN << ((n - 1) // _DIRECT_MAX_LEN).bit_length()
+    xs, out = np.zeros(size), np.zeros(size)   # zero-padded to the top node
+    xs[:n] = x
+    while size > _DIRECT_MAX_LEN:
+        # nodes [lo, lo + size) with lo = j size and lo + half < n, one row
+        # each: the history x[lo:lo + half] reaches rows [lo + half, lo +
+        # size), where a cyclic product of length size does not wrap
         half = size // 2
-        mid = lo + half
-        add_rows(lo, half)
-        if mid >= n:
-            return
-        if size not in w_hats:
-            w_hats[size] = np.fft.rfft(w[:size], size)
-        # a cyclic product of length size does not wrap onto [half, size)
-        hist = np.fft.irfft(np.fft.rfft(x[lo:mid], size) * w_hats[size], size)
-        out[mid:hi] += hist[half:hi - lo]
-        add_rows(mid, half)
-
-    add_rows(0, _DIRECT_MAX_LEN << ((n - 1) // _DIRECT_MAX_LEN).bit_length())
-    return out
+        nodes = (n - half + size - 1) // size
+        rows = xs[:nodes * size].reshape(nodes, size)
+        hist = np.fft.irfft(np.fft.rfft(rows[:, :half], size)
+                            * np.fft.rfft(w[:size], size), size)
+        out[:nodes * size].reshape(nodes, size)[:, half:] += hist[:, half:]
+        size = half
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        out[lo:hi] += np.convolve(x[lo:hi], w[:hi - lo])[:hi - lo]
+    return out[:n]
 
 
 def _left_conv(values, w):
@@ -116,9 +119,7 @@ def _left_conv(values, w):
     (sum_k W_k X_{m-k}) / (D L).
     """
     if not is_exact(values[0]):
-        w = np.asarray(w, dtype=float)
-        out = _float_left_conv(np.asarray(values), w)
-        return tuple(out.tolist())
+        return _float_conv(values, w, 1)
     x, L = _integers(values)
     x.reverse()
     W, DL = w.numerators, w.denominator * L
@@ -130,7 +131,17 @@ def _left_conv(values, w):
 
 def _right_conv(values, w):
     """out[i] = sum_{j=i}^{end} w[j-i] values[j]."""
+    if not is_exact(values[0]):
+        return _float_conv(values, w, -1)
     return tuple(reversed(_left_conv(tuple(reversed(values)), w)))
+
+
+def _float_conv(values, w, step):
+    """_left_conv of float values read forwards (step 1), or _right_conv
+    through a reversed view (step -1); w is converted to float64."""
+    x = np.asarray(values)[::step]
+    return tuple(_float_left_conv(x, np.asarray(w, dtype=float))[::step]
+                 .tolist())
 
 
 # -- fractional sums ---------------------------------------------------------

@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nablafrac.backend import rational
-from nablafrac.cli import main
+from nablafrac import cli
+from nablafrac.backend import format_scalar, rational
+from nablafrac.cli import _OPERATORS, main
 from nablafrac.grid import GridFn, read_gridfn_csv, write_gridfn_csv
+from nablafrac.numerics import FracOrder
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -111,6 +114,43 @@ class TestApply:
         t_out = [row.split(",")[0] for row in dst.read_text().splitlines()[1:]]
         i = t_in.index(t_out[0])
         assert t_out == t_in[i:i + len(t_out)]
+
+    @pytest.mark.parametrize("lo", [0.0, -20000.0, 2.0 ** 53 - 2 ** 14],
+                             ids=["0", "-20000", "2^53-2^14"])
+    @pytest.mark.parametrize("op", sorted(_OPERATORS))
+    def test_integral_points_write_format_scalar_bytes(self, tmp_path, op,
+                                                        lo):
+        # the writer formats integral float points by "%d"; every t must
+        # still read as format_scalar of the float point, the delta
+        # operators' shifted points too
+        n = 2000
+        values = np.random.default_rng(n).uniform(-1, 1, n)
+        values[7] = -0.0
+        f = GridFn(lo, tuple(values.tolist()))
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_gridfn_csv(f, src)
+        fn, side = _OPERATORS[op]
+        shift = 0 if op.startswith("caputo") else 1
+        anchor = lo - shift if side == "a" else f.hi + shift
+        for alpha in ("0.37", "1.61"):
+            code = main(["apply", op, "--alpha", alpha,
+                         f"--{side}={format_scalar(anchor)}",
+                         "--input", str(src), "--output", str(dst)])
+            assert code == 0
+            out = fn(f, FracOrder.parse(alpha, False), anchor)
+            vals = out.values
+            if op == "nabla-left-sum":
+                vals = vals[1:]
+            elif op == "nabla-right-sum":
+                vals = vals[:-1]
+            if op.startswith("delta-"):
+                points = list(out.points())
+            else:  # the input's points: left outputs end where f ends
+                i = n - len(vals) if side == "a" else 0
+                points = [lo + float(i + k) for k in range(len(vals))]
+            assert dst.read_text() == "t,value\n" + "".join(
+                f"{format_scalar(t)},{format_scalar(v)}\n"
+                for t, v in zip(points, vals))
 
     def test_malformed_input_exit_2(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -369,6 +409,41 @@ class TestSweep:
             outputs.append((code, out.read_text()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 1
+
+
+class TestParser:
+    """main builds its parser once per process, and parse_args keeps
+    nothing of one call for the next."""
+
+    def test_calls_match_a_fresh_parser(self, tmp_path):
+        src, out = tmp_path / "in.csv", tmp_path / "out"
+        write_ones(src, n=8, exact=False)
+        files = ["--input", str(src), "--output", str(out)]
+        report = ["--trials", "1", "--output", str(out)]
+        calls = [
+            ["apply", "nabla-left-sum", "--alpha", "1/2", "--a", "-1", *files],
+            # a left operator given only --b: --a must not carry over
+            ["apply", "nabla-left-sum", "--alpha", "1/2", "--b", "8", *files],
+            ["apply", "nabla-right-sum", "--alpha", "1/2", "--b", "8", *files],
+            ["verify", "--seed", "3", *report],
+            ["verify", *report],
+        ]
+
+        def run(argv):
+            out.unlink(missing_ok=True)
+            code = main(argv)
+            return code, out.read_bytes() if out.exists() else None
+
+        cli._build_parser.cache_clear()
+        kept = [run(argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert kept == fresh
+        assert [code for code, _ in kept] == [0, 2, 0, 0, 0]
+        assert kept[1][1] is None and kept[3][1] != kept[4][1]
 
 
 class TestUsage:

@@ -442,13 +442,32 @@ class TestCsvBlocks:
             write_gridfn_csv(f, path)
             assert path.read_bytes() == _reference_write(f).encode()
 
-    def test_write_explicit_points(self, tmp_path):
-        values = tuple(float(k) for k in range(_B + 3))
-        f = GridFn(0.1, values)
-        points = (0.1 + np.arange(len(values), dtype=float)).tolist()
+    @pytest.mark.parametrize("lo", [0.1, 0.0, -20000.0, 2.0 ** 53 - 2 ** 14,
+                                    -0.0, 2.0 ** 53 - (2 * _B + 3)])
+    def test_write_explicit_points(self, tmp_path, lo):
+        # given points that are all integers are written by "%d": the bytes
+        # stay format_scalar's, also in a block whose int value takes
+        # format_scalar for the whole block
+        rng = random.Random(9)
+        values = (-0.0, 0.0, 0.1) + tuple(
+            rng.uniform(-1, 1) * 10 ** rng.randint(-20, 20)
+            for _ in range(2 * _B))
+        for vals in (values, values[:_B + 1] + (7,) + values[_B + 2:]):
+            f = GridFn(lo, vals)
+            points = lo + np.arange(len(vals), dtype=float)
+            path = tmp_path / "f.csv"
+            for given in (points, points.tolist()):
+                write_gridfn_csv(f, path, given)
+                assert path.read_bytes() == _reference_write(
+                    f, points.tolist()).encode()
+
+    def test_write_points_minus_zero_and_int_points(self, tmp_path):
         path = tmp_path / "f.csv"
-        write_gridfn_csv(f, path, points)
-        assert path.read_bytes() == _reference_write(f, points).encode()
+        write_gridfn_csv(GridFn(0.0, (0.5, -0.0)), path, [-0.0, 1.0])
+        assert path.read_text() == "t,value\n-0,0.5\n1,-0\n"
+        # a GridFn's own int points are rationals, whatever its values
+        write_gridfn_csv(GridFn(5, (0.5, -0.0)), path)
+        assert path.read_text() == "t,value\n5/1,0.5\n6/1,-0\n"
 
     def test_write_int_values_as_rationals(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -471,6 +471,71 @@ class TestLongHorizonFloat:
                                 [np.dot(w[:n - i], x[i:]) for i in rows])
 
 
+def recursive_left_conv(x, w):
+    """The online FFT convolution written as one recursion over the nodes
+    [lo, lo + size): the left half, then the history x[lo:mid] through one
+    FFT product, then the right half.  Each row receives the same additions
+    in the same order as in `_float_left_conv`'s level loop, so the two
+    agree bit for bit."""
+    n = len(x)
+    out = np.zeros(n)
+    w_hats = {}
+
+    def add_rows(lo, size):
+        hi = min(lo + size, n)
+        if size == numerics._DIRECT_MAX_LEN:
+            out[lo:hi] += np.convolve(x[lo:hi], w[:hi - lo])[:hi - lo]
+            return
+        half = size // 2
+        mid = lo + half
+        add_rows(lo, half)
+        if mid >= n:
+            return
+        if size not in w_hats:
+            w_hats[size] = np.fft.rfft(w[:size], size)
+        hist = np.fft.irfft(np.fft.rfft(x[lo:mid], size) * w_hats[size], size)
+        out[mid:hi] += hist[half:hi - lo]
+        add_rows(mid, half)
+
+    add_rows(0, numerics._DIRECT_MAX_LEN
+             << ((n - 1) // numerics._DIRECT_MAX_LEN).bit_length())
+    return out
+
+
+class TestFftBits:
+    """The blocked FFT path keeps the bits of its recursive form, on both
+    sides of every power-of-two node size."""
+
+    @pytest.mark.parametrize("n", [513, 1000, 1024, 1025, 4097, 20000, 50000])
+    @pytest.mark.parametrize("kind", ["unit", "signed", "exp"])
+    def test_matches_recursive_form(self, n, kind):
+        x = long_input(kind, n)[:n]
+        for beta in LONG_ORDERS:
+            w = weights(beta, n - 1)
+            left = operators._left_conv(tuple(x.tolist()), w)
+            right = operators._right_conv(tuple(x[::-1].tolist()), w)
+            want = recursive_left_conv(x, w)
+            assert np.array_equal(left, want)
+            assert np.array_equal(right, want[::-1])
+
+    @pytest.mark.parametrize("n", [513, 1025, 4097])
+    @pytest.mark.parametrize("kind", ["inf", "nan"])
+    def test_non_finite_inputs_take_np_convolve(self, n, kind, monkeypatch):
+        x = long_input(kind, n)[:n]
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a non-finite input reached the FFT path")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        for beta in LONG_ORDERS:
+            w = weights(beta, n - 1)
+            want = np.convolve(x, w)[:n]
+            left = operators._left_conv(tuple(x.tolist()), w)
+            right = operators._right_conv(tuple(x[::-1].tolist()), w)
+            assert np.array_equal(left, want, equal_nan=True)
+            assert np.array_equal(right, want[::-1], equal_nan=True)
+
+
 class TestFloatOutputsArePythonFloats:
     """Float operators hand back Python floats, not numpy scalars, on the
     direct convolution path (n <= 512) and the FFT path (n > 512)."""
