@@ -21,12 +21,21 @@ __all__ = [
 ]
 
 
+def _fraction(text: str) -> _rat:
+    """Fraction(text), with ValueError, not ZeroDivisionError, for a zero
+    denominator: "p/0" is bad input like any other bad token."""
+    try:
+        return _rat(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def rational(p, q=1):
     """Exact rational p/q.  Accepts ints, 'p/q' strings and other rationals."""
     if q == 1 and type(p) is int:
         return _rat(p)  # Fraction(int) skips the gcd
     if isinstance(p, str):
-        r = _rat(p)
+        r = _fraction(p)
         return r / _rat(q) if q != 1 else r
     return _rat(p, q)
 
@@ -47,9 +56,9 @@ def parse_scalar(text: str, exact: bool):
     """Parse a scalar from its CSV/CLI representation."""
     text = text.strip()
     if exact:
-        return _rat(text)
+        return _fraction(text)
     if "/" in text:
-        return float(_rat(text))
+        return float(_fraction(text))
     return float(text)
 
 

@@ -117,7 +117,7 @@ def _cmd_apply(args) -> int:
             print(f"error: {args.operator} needs --{side}", file=sys.stderr)
             return EXIT_USAGE
         anchor = parse_scalar(anchor_text, exact)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -153,7 +153,7 @@ def _cmd_verify(args) -> int:
     exact = args.backend == "rational"
     try:
         a = parse_scalar(args.a, exact)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     make = (lambda n: rational(n)) if exact else float
@@ -241,7 +241,7 @@ def _cmd_sweep(args) -> int:
     for text in raw:
         try:
             value = float(parse_scalar(text, exact=False))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             print(f"error: bad alpha {text!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if value in seen:

@@ -15,6 +15,7 @@ GridFn refuse a float grid with a point there.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -198,39 +199,82 @@ def write_gridfn_csv(f: GridFn, path, points=None) -> None:
                           % tuple(map(format_scalar, cells)))
 
 
-def read_gridfn_csv(path, exact: bool) -> GridFn:
-    """Read a "t,value" CSV, _CSV_BLOCK rows at a time.  Blank lines and
-    whitespace around fields are ignored; float mode also accepts "p/q".
-    The t column must step by 1 from its first point (within _FLOAT_SNAP in
-    floats); ValueError otherwise."""
+# bytes of a float CSV body that np.loadtxt reads exactly as float() would:
+# digits, signs, points, exponents, the letters of inf/infinity/nan, field
+# and line separators, and the spaces and tabs that both readers strip
+_PLAIN_BYTES = b"0123456789+-.eE, \t\r\nINFTYAinftya"
+
+
+def _read_plain_floats(path):
+    """The (n, 2) float table of a plain float CSV, read by numpy's C text
+    reader; None if the file is not plain or np.loadtxt does not give n >= 1
+    rows of two fields.  A plain file has the header line "t,value", with
+    only spaces, tabs and line ends around it, and a body of _PLAIN_BYTES
+    alone.  On such a body loadtxt and the block reader parse every token
+    by PyOS_string_to_double, so an accepted file gets the same bits; every
+    file loadtxt refuses goes to the block reader, which gives the error."""
+    with open(path, "rb") as src:
+        header = src.readline()
+        body = src.read()
+    if header.strip(b" \t\r\n") != b"t,value" or body.translate(
+            None, _PLAIN_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():  # "input contained no data"
+            warnings.simplefilter("ignore")
+            table = np.loadtxt(path, delimiter=",", comments=None,
+                               dtype=np.float64, ndmin=2, skiprows=1)
+    except ValueError:
+        return None
+    return table if table.shape[1:] == (2,) and len(table) else None
+
+
+def _read_blocks(path, exact: bool):
+    """(points, values) of a "t,value" CSV read _CSV_BLOCK rows at a time,
+    every token by parse_scalar; ValueError for a bad header, a row without
+    exactly two fields, a bad token or no rows."""
     with open(path) as src:
         header = src.readline().strip()
         if header != "t,value":
             raise ValueError(f"bad GridFn CSV header: {header!r}")
         points, values = [], []
+        parse = partial(parse_scalar, exact=exact)
         while lines := list(islice(src, _CSV_BLOCK)):
             rows = list(filter(None, map(str.strip, lines)))
             if not rows:
                 continue
-            text = ",".join(rows)
-            tokens = text.split(",")
+            tokens = ",".join(rows).split(",")
             # a comma in every row and as many commas as rows: one in each
             if (len(tokens) != 2 * len(rows)
                     or not all(map(contains, rows, repeat(",")))):
                 raise ValueError("GridFn CSV rows must have two fields")
-            parse = (float if not exact and "/" not in text
-                     else partial(parse_scalar, exact=exact))
             points += map(parse, tokens[0::2])
             values += map(parse, tokens[1::2])
     if not points:
         raise ValueError("empty GridFn CSV")
-    lo = points[0]
+    return points, values
+
+
+def read_gridfn_csv(path, exact: bool) -> GridFn:
+    """Read a "t,value" CSV.  Blank lines and whitespace around fields are
+    ignored; float mode also accepts "p/q".  The t column must step by 1
+    from its first point (within _FLOAT_SNAP in floats); ValueError
+    otherwise.  A plain float file (see _read_plain_floats) is read in one
+    pass by np.loadtxt; every other file, and every exact one, by the block
+    reader.  Both routes give the same values and the same errors."""
+    table = None if exact else _read_plain_floats(path)
+    if table is None:
+        points, values = _read_blocks(path, exact)
+        lo = points[0]
+    else:
+        points, values = table[:, 0], table[:, 1].tolist()
+        lo = points[0].item()
     if exact:
         on_grid = list(map(_offset, points, repeat(lo))) == list(
             range(len(points)))
     else:
         with np.errstate(all="ignore"):  # inf and nan fail the test below
-            d = np.array(points) - lo - np.arange(len(points))
+            d = np.asarray(points) - lo - np.arange(len(points))
         on_grid = bool(np.all(np.abs(d) <= _FLOAT_SNAP))
     if not on_grid:
         raise ValueError("GridFn CSV rows must ascend in exact unit steps")

@@ -411,6 +411,71 @@ class TestSweep:
         assert outputs[0][0] == 1
 
 
+class TestZeroDenominator:
+    """A "p/0" token is bad input: exit 2 with one error line, in both
+    backends and in every place a scalar is read."""
+
+    @staticmethod
+    def check(capsys, code):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "zero denominator in '1/0'" in err
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("body", ["0,1/0\n1,2\n", "0,1\n1/0,2\n"],
+                             ids=["value", "t"])
+    def test_apply_csv_row(self, tmp_path, capsys, backend, body):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("t,value\n" + body)
+        code = main(["apply", "nabla-left-sum", "--alpha", "1/2", "--a", "-1",
+                     "--backend", backend, "--input", str(src),
+                     "--output", str(dst)])
+        self.check(capsys, code)
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("flags", [["--alpha", "1/0", "--a", "-1"],
+                                       ["--alpha", "1/2", "--a", "1/0"]],
+                             ids=["alpha", "anchor"])
+    def test_apply_flags(self, tmp_path, capsys, backend, flags):
+        src = tmp_path / "in.csv"
+        write_ones(src, exact=backend == "rational")
+        code = main(["apply", "nabla-left-sum", *flags, "--backend", backend,
+                     "--input", str(src), "--output",
+                     str(tmp_path / "out.csv")])
+        self.check(capsys, code)
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_verify_anchor(self, tmp_path, capsys, backend):
+        code = main(["verify", "--a", "1/0", "--backend", backend,
+                     "--output", str(tmp_path / "r.jsonl")])
+        self.check(capsys, code)
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("overrides", [
+        {"alpha": "1/0"}, {"a": "1/0"},
+        {"formulation": "riemann_a",
+         "boundary": {"kind": "fixed", "A": "1/0"}}],
+        ids=["alpha", "a", "A"])
+    def test_config(self, tmp_path, capsys, command, overrides):
+        cfgp = tmp_path / "p.json"
+        problem_config(cfgp, **overrides)
+        out = tmp_path / "s.csv"
+        extra = ["--alpha-list", "1/2"] if command == "sweep" else []
+        code = main([command, "--input", str(cfgp), "--output", str(out),
+                     *extra])
+        self.check(capsys, code)
+        assert not out.exists()
+
+    def test_sweep_alpha_list(self, tmp_path, capsys):
+        cfgp = tmp_path / "p.json"
+        problem_config(cfgp)
+        code = main(["sweep", "--input", str(cfgp), "--output",
+                     str(tmp_path / "t.csv"), "--alpha-list", "1/2,1/0"])
+        self.check(capsys, code)
+
+
 class TestParser:
     """main builds its parser once per process, and parse_args keeps
     nothing of one call for the next."""

@@ -1,3 +1,4 @@
+import builtins
 import random
 import warnings
 from fractions import Fraction
@@ -6,6 +7,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from nablafrac import grid
 from nablafrac.backend import format_scalar, parse_scalar, rational
 from nablafrac.cli import _OPERATORS
 from nablafrac.grid import (_CSV_BLOCK, DomainError, Grid, GridFn, _offset,
@@ -297,6 +299,14 @@ class TestCsv:
         with pytest.raises(ValueError):
             read_gridfn_csv(path, exact=False)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0/0"])
+    def test_zero_denominator_is_value_error(self, text, exact):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text, exact)
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational(text)
+
     def test_format_scalar_canonical(self):
         assert format_scalar(rational("-4/6")) == "-2/3"
         assert format_scalar(rational("5")) == "5/1"
@@ -378,6 +388,25 @@ READ_CASES = {
     "descending": "1,1\n0,2\n",
     "bad-token": "0,1\n1,x\n",
     "only-blank-lines": "\n\n  \n",
+    # bytes outside the plain set, which the float reader must not hand
+    # to np.loadtxt
+    "x1c-field-prefix": "0,\x1c1.5\n1,2\n",
+    "vt-ff-around-field": "0,\x0b1.5\x0c\n1,\x0c2\x0b\n",
+    "no-break-space": "0,\xa01.5\n1,2\xa0\n",
+    "underscore": "0,1_000\n1,2\n",
+    "unicode-digit": "0,\u0661\n1,2\n",
+    # plain bytes that np.loadtxt refuses or reads in another shape
+    "all-three-field-rows": "0,1,2\n1,2,3\n",
+    "all-one-field-rows": "0\n1\n2\n",
+    "trailing-comma": "0,1,\n1,2,\n",
+    "empty-field": "0,\n1,2\n",
+    "header-only": "",
+    "lone-cr-line-ends": "0,1\r1,2\r\r2,3\r",
+    "inf-nan-spellings": "0,INF\n1,-Infinity\n2,NaN\n3,-nan\n4,+inf\n",
+    "underflow-overflow": "0,1e-400\n1,1e400\n2,-1e400\n",
+    # decimals whose correct rounding needs every digit
+    "hard-to-round": "0,9007199254740993\n1,2.2250738585072011e-308\n"
+                     "2,5e-324\n3,9007199254740993" + "0" * 883 + "1e-884\n",
 }
 
 
@@ -399,15 +428,63 @@ class TestCsvBlocks:
             return
         assert _bits(read_gridfn_csv(path, exact)) == want
 
+    def test_plain_file_takes_the_c_route(self, tmp_path, monkeypatch):
+        # a silent fallback to the block reader would pass every other test
+        path = tmp_path / "f.csv"
+        path.write_text("t,value\n" + "\n".join(
+            _rows(10_000, lo=0.5) + ["10000.5,inf", "1.00015e4,-0"]) + "\n")
+        want = _bits(_reference_read(path, False))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the block reader parsed a token")
+
+        class Refuse(type):  # float to isinstance, but never called
+            __call__ = refuse
+
+            def __instancecheck__(cls, x):
+                return isinstance(x, builtins.float)
+
+        monkeypatch.setattr(grid, "parse_scalar", refuse)
+        monkeypatch.setattr(grid, "float", Refuse("float", (), {}),
+                            raising=False)
+        assert _bits(read_gridfn_csv(path, False)) == want
+
+    @pytest.mark.parametrize("name", [
+        "x1c-field-prefix", "vt-ff-around-field", "no-break-space",
+        "underscore", "unicode-digit", "p/q-tokens"])
+    def test_other_bytes_skip_loadtxt(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "f.csv"
+        path.write_bytes(("t,value\n" + READ_CASES[name]).encode())
+        want = _bits(_reference_read(path, False))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt read a file that is not plain")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert _bits(read_gridfn_csv(path, False)) == want
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+    def test_no_data_warning_does_not_escape(self, tmp_path, body):
+        path = tmp_path / "f.csv"
+        path.write_text("t,value\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty GridFn CSV"):
+                read_gridfn_csv(path, False)
+
     @pytest.mark.parametrize("name,valid", [
         ("snap-accepted", True), ("snap-rejected", False),
         ("anchor-0.1", True), ("three-then-one-field", False),
         ("one-then-three-field", False),
-        ("blank-lines-at-block-boundary", True)])
+        ("blank-lines-at-block-boundary", True),
+        ("x1c-field-prefix", True), ("underscore", True),
+        ("unicode-digit", True), ("lone-cr-line-ends", True),
+        ("hard-to-round", True), ("all-three-field-rows", False),
+        ("empty-field", False), ("header-only", False)])
     def test_read_cases_in_float_mode(self, tmp_path, name, valid):
         # the comparison above must see both outcomes
         path = tmp_path / "f.csv"
-        path.write_text("t,value\n" + READ_CASES[name])
+        path.write_bytes(("t,value\n" + READ_CASES[name]).encode())
         if valid:
             assert len(read_gridfn_csv(path, False)) > 1
         else:
